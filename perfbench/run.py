@@ -505,7 +505,6 @@ def main(argv=None) -> int:
               "checkout of the repository", file=sys.stderr)
         return 2
     sys.path.insert(0, wl.SRC)
-    os.makedirs(OUT_DIR, exist_ok=True)
     record = run(args.workload, args.seed, args.seconds, bool(args.trace))
     print("build: " + json.dumps(record["build"]))
     for problem in record["problems"]:

@@ -52,11 +52,6 @@ def _wrapped_targets():
     return out
 
 
-@pytest.fixture(autouse=True)
-def _out_dir():
-    os.makedirs(run.OUT_DIR, exist_ok=True)
-
-
 @pytest.mark.parametrize("workload", sorted(wl.WORKLOADS))
 def test_untraced_run_emits_every_end_to_end_metric(workload):
     record = run.run(workload, seed=1, seconds=0.2, trace=False, sizes=TINY)
