@@ -127,7 +127,7 @@ def build_block() -> dict:
 # shared by both runs
 # ----------------------------------------------------------------------
 
-ROUNDS = 10   # the untraced run spreads every activity over this many rounds
+ROUNDS = 30   # the untraced run spreads every activity over this many rounds
 
 
 def _same_bytes(a, b) -> bool:
@@ -200,15 +200,16 @@ def check_training(w, trainer, chains, straight, n_windows, ledger):
 def run_untraced(w, seed, seconds, work, ledger, sizes) -> tuple[dict, dict]:
     """Training, CLI chains, generate and evaluate calls and set-up probes
     are interleaved over ROUNDS rounds, so that every metric samples the
-    whole run rather than one stretch of it. Each round evaluates fresh
-    samples of the model as trained so far: evaluate's cost depends on the
-    series (numpy's float power is about 20x slower on negative bases, so
-    it follows the sign pattern), and one early model per seed made it
-    swing from seed to seed."""
+    whole run rather than one stretch of it, and a reference kernel is
+    timed between them (wl.Speed) so that every timing is reported at
+    reference pace. Each round evaluates a fresh candidate series."""
     from marketgan import training
+    speed = wl.Speed()
+    tick = speed.tick
     data, returns, dataset = start_session(w, seed, work)
     chains: list = []
-    cli_spent = cli_chain(w, seed, data, work, ledger, chains)
+    cli_spent = cli_chain(w, seed, data, work, ledger, chains)   # warm-up, not timed
+    peak_rss = wl.peak_rss_mib()        # the five commands of one chain
     loaded = None
     if chains:
         loaded = ledger.call("load checkpoint", training.load_checkpoint,
@@ -218,10 +219,10 @@ def run_untraced(w, seed, seconds, work, ledger, sizes) -> tuple[dict, dict]:
         wl.check_generated_matches_cli(first, chains[0]["generated"], ledger)
 
     trainer, straight = straight_trainer(w, seed, dataset, work, ledger)
-    train_budget = w.train_share * seconds
-    cli_budget = (1 - w.train_share) * seconds
+    train_budget = wl.TRAIN_SHARE * seconds
+    cli_budget = (1 - wl.TRAIN_SHARE) * seconds
     train_spent = 0.0
-    setup, rates, eval_ms = [], [], []
+    setup, generated, evaluated = [], [], []
     for rnd in range(ROUNDS):
         share = (rnd + 1) / ROUNDS
         while (train_spent < share * train_budget
@@ -230,40 +231,62 @@ def run_untraced(w, seed, seconds, work, ledger, sizes) -> tuple[dict, dict]:
             if not trainer.run_epoch():
                 break
             train_spent += time.perf_counter() - t0
+            tick()
         if loaded is not None:
-            rates += wl.measure_generate(w, loaded, seed, ledger,
-                                         _quota(sizes["generate_calls"], rnd))[0]
-        candidate = wl.sample_returns(trainer.state, wl.EVALUATE_RETURNS, seed + rnd, ledger)
-        if candidate is not None:
-            eval_ms += wl.measure_evaluate(candidate, returns.values, ledger,
-                                           _quota(sizes["evaluate_calls"], rnd))
+            generated += wl.measure_generate(w, loaded, seed, ledger,
+                                             _quota(sizes["generate_calls"], rnd), tick)[0]
+        evaluated += wl.measure_evaluate(wl.candidate_returns(seed * ROUNDS + rnd),
+                                         returns.values, ledger,
+                                         _quota(sizes["evaluate_calls"], rnd), tick)
         setup += wl.measure_setup(w, seed, data, ledger, _quota(sizes["probes"], rnd))
-        if chains and len(chains) < sizes["max_chains"] and cli_spent < share * cli_budget:
+        timed_chains = len(chains) - 1       # the first is warm-up
+        if chains and len(chains) < sizes["max_chains"] and (
+                cli_spent < share * cli_budget or timed_chains < share * sizes["min_chains"]):
             cli_spent += cli_chain(w, seed, data, work, ledger, chains)
     check_training(w, trainer, chains, straight, len(dataset), ledger)
 
+    def paced(samples):        # times at reference pace
+        return [value * speed.factor(start, end) for start, end, value in samples]
+
     timed = trainer.timed
-    steps = wl.step_samples_ms(timed)
-    metrics = {}
-    if setup:
-        metrics["setup_s"] = wl.median(setup)
-    if timed:
-        metrics["train_windows_per_s"] = wl.windows_per_s(w, len(dataset), timed)
-        metrics["step_ms.p50"] = wl.percentile(steps, 50)
-        metrics["step_ms.p90"] = wl.percentile(steps, 90)
-    if chains:
-        metrics["pipeline_s"] = wl.median([sum(c["seconds"].values()) for c in chains])
-    if rates:
-        metrics["generate_windows_per_s"] = wl.median(rates)
-    if eval_ms:
-        metrics["evaluate_ms.p50"] = wl.percentile(eval_ms, 50)
-        metrics["evaluate_ms.p90"] = wl.percentile(eval_ms, 90)
-    metrics["peak_rss_mib"] = wl.peak_rss_mib()
-    samples = {"setup_s": setup, "step_ms": steps, "evaluate_ms": eval_ms,
-               "generate_windows_per_s": rates,
-               "pipeline_s": [c["seconds"] for c in chains],
-               "timed_epochs": len(timed)}
-    return metrics, samples
+    # per CLI command, the median over the timed chains at each chain's pace
+    paced_steps = [{step: secs * speed.factor(c["start"], c["end"])
+                    for step, secs in c["seconds"].items()} for c in chains[1:]]
+    measured = {"setup_s": paced(setup), "step_ms": wl.step_samples_ms(timed, speed),
+                "pipeline_s": paced_steps, "evaluate_ms": paced(evaluated),
+                "generate_windows_per_s": [rate / speed.factor(start, end)
+                                           for start, end, rate in generated]}
+    raw = {"setup_s": [v for *_, v in setup], "step_ms": wl.step_samples_ms(timed),
+           "pipeline_s": [c["seconds"] for c in chains[1:]],
+           "evaluate_ms": [v for *_, v in evaluated],
+           "generate_windows_per_s": [v for *_, v in generated]}
+
+    def summarise(samples, pace):
+        out = {}
+        if samples["setup_s"]:
+            out["setup_s"] = wl.median(samples["setup_s"])
+        if timed:
+            out["train_windows_per_s"] = wl.windows_per_s(w, len(dataset), timed, pace)
+            out["step_ms.p50"] = wl.percentile(samples["step_ms"], 50)
+            out["step_ms.p90"] = wl.percentile(samples["step_ms"], 90)
+        if samples["pipeline_s"]:
+            out["pipeline_s"] = sum(wl.median([c[step] for c in samples["pipeline_s"]])
+                                    for step in wl.CLI_STEPS)
+        if samples["generate_windows_per_s"]:
+            out["generate_windows_per_s"] = wl.median(samples["generate_windows_per_s"])
+        if samples["evaluate_ms"]:
+            out["evaluate_ms.p50"] = wl.percentile(samples["evaluate_ms"], 50)
+            out["evaluate_ms.p90"] = wl.percentile(samples["evaluate_ms"], 90)
+        out["peak_rss_mib"] = peak_rss
+        return out
+
+    metrics = summarise(measured, speed)
+    wall = summarise(raw, None)
+    extra = {"wall_clock": wall,
+             "reference_ms": {"median": speed.median_ms(), "bursts": len(speed.samples),
+                              "nominal": wl.REFERENCE_NOMINAL_MS},
+             "samples": {**measured, "timed_epochs": len(timed)}}
+    return metrics, extra
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +324,7 @@ def run_traced(w, seed, seconds, work, ledger, sizes, spans_path) -> tuple[dict,
         if not ok:
             break
     began = time.perf_counter()            # the reference goes on alone
-    while time.perf_counter() - began < w.train_share * seconds and reference.run_epoch():
+    while time.perf_counter() - began < wl.TRAIN_SHARE * seconds and reference.run_epoch():
         pass
     check_training(w, reference, chains, straight, len(dataset), ledger)
     state = traced.state
@@ -326,11 +349,9 @@ def run_traced(w, seed, seconds, work, ledger, sizes, spans_path) -> tuple[dict,
         if loaded is not None:
             with tracer.phase("generate"):
                 wl.measure_generate(w, loaded, seed, ledger, TRACED_REPEATS)
-        candidate = wl.sample_returns(state, wl.EVALUATE_RETURNS, seed, ledger)
-        if candidate is not None:
-            with tracer.phase("evaluate"):
-                wl.measure_evaluate(candidate, returns.values, ledger,
-                                    sizes["traced_evaluate_calls"])
+        with tracer.phase("evaluate"):
+            wl.measure_evaluate(wl.candidate_returns(seed), returns.values, ledger,
+                                sizes["traced_evaluate_calls"])
         if chains:
             with tracer.phase("plots"):
                 for plot in ("acf", "pdf", "returns", "prices"):
@@ -452,7 +473,7 @@ def layer_breakdown(w, tracer, traced, reference, n_windows, ckpt, chains,
 # ----------------------------------------------------------------------
 
 FULL_SIZES = {"probes": wl.SETUP_PROBES, "min_steps": wl.MIN_TIMED_STEPS,
-              "max_chains": wl.MAX_CHAINS, "generate_calls": wl.GENERATE_CALLS,
+              "min_chains": wl.MIN_TIMED_CHAINS, "max_chains": wl.MAX_CHAINS, "generate_calls": wl.GENERATE_CALLS,
               "evaluate_calls": wl.EVALUATE_CALLS,
               "traced_evaluate_calls": TRACED_EVALUATE_CALLS}
 
@@ -509,8 +530,12 @@ def main(argv=None) -> int:
     print("build: " + json.dumps(record["build"]))
     for problem in record["problems"]:
         print(f"FAILED: {problem}")
+    wall = record.get("wall_clock", {})
+    if "reference_ms" in record:
+        print("reference burst: " + json.dumps(record["reference_ms"]))
     for name, m in record["line"]["metrics"].items():
-        print(f"{name:48s} {m['value']:>16.6g} {m['unit']}")
+        raw = f"  (wall clock {wall[name]:.6g})" if name in wall else ""
+        print(f"{name:48s} {m['value']:>16.6g} {m['unit']}{raw}")
     for name, value in sorted(record.get("breakdown", {}).items()):
         if name not in record["line"]["metrics"]:
             print(f"  (breakdown) {name:48s} {value:>16.6g}")

@@ -25,7 +25,7 @@ import numpy as np  # noqa: E402
 
 from tracing import FUNCTION_TARGETS, OP_KINDS  # noqa: E402
 
-TINY = {"probes": 1, "min_steps": 1, "max_chains": 1, "generate_calls": 2,
+TINY = {"probes": 1, "min_steps": 1, "min_chains": 1, "max_chains": 2, "generate_calls": 2,
         "evaluate_calls": 3, "traced_evaluate_calls": 2, "traced_epochs": 2}
 
 with open(os.path.join(wl.ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:

@@ -2,8 +2,8 @@
 
 Every workload is one closed-loop client in one process: each operation
 starts only after the previous one finished. A run goes through the same
-phases on every workload; the workloads differ in preset, data and in how
-the run's seconds are shared between in-process training and the CLI chain.
+phases on every workload; the workloads differ in preset and data. 40%
+of the run's seconds go to in-process training, the rest to CLI chains.
 
   setup     fresh processes: interpreter start -> import -> ingest/window ->
             build networks -> first parameter update (setup_probe.py)
@@ -11,8 +11,10 @@ the run's seconds are shared between in-process training and the CLI chain.
             generate, evaluate, report
   train     training.train/resume one epoch at a time, timed by record_hook
   generate  training.generate on the CLI's resumed checkpoint
-  evaluate  stylized_facts.evaluate on 5000 returns sampled from the model
-            as trained so far
+  evaluate  stylized_facts.evaluate on 5000 heavy-tailed returns drawn from
+            the seed
+  speed     a fixed reference kernel timed between the operations above;
+            timings are reported at the reference speed (class Speed)
 
 The package is driven only through its public API and its CLI.
 """
@@ -36,12 +38,14 @@ SRC = os.path.join(ROOT, "src")
 GENERATE_RETURNS = 50_000     # returns per generate call, CLI and in-process
 EVALUATE_RETURNS = 5_000      # candidate length for stylized_facts.evaluate
 TOY_VALUES = 2048             # N(0,1) values in the toy series
-MIN_TIMED_STEPS = 110         # p90 needs >= 10 samples beyond it
+MIN_TIMED_STEPS = 100         # p90 needs >= 10 samples beyond it
 SETUP_PROBES = 5
-GENERATE_CALLS = 12
-EVALUATE_CALLS = 200
-MAX_CHAINS = 5
+GENERATE_CALLS = 40
+EVALUATE_CALLS = 300
+MIN_TIMED_CHAINS = 2          # CLI chains after the first (warm-up) one
+MAX_CHAINS = 7
 CHILD_TIMEOUT_S = 150
+TRAIN_SHARE = 0.4             # of --seconds for in-process training; the rest is CLI
 FACT_NAMES = ("linear_unpredictability", "heavy_tails", "volatility_clustering",
               "gain_loss_asymmetry", "aggregational_gaussianity")
 SVG_NAMES = ("acf.svg", "pdf.svg", "returns.svg", "prices.svg")
@@ -59,7 +63,6 @@ class Workload:
     batch: int
     latent: int
     cli_epochs: int           # epochs of the CLI train; the resume adds one
-    train_share: float        # share of --seconds for in-process training
     traced_epochs: int        # epochs of the traced training (first is warm-up)
     optimizer: tuple = ()     # flat config overrides, e.g. (("g_lr", 4e-4),)
 
@@ -82,25 +85,19 @@ WORKLOADS = {w.name: w for w in (
              "dense matmuls, per-op autodiff dispatch, Adam over ~100k dense "
              "parameters per network and per-epoch overhead (4 steps per epoch); no conv, "
              "batch norm, attention or gradient penalty",
-             "mlp_gan", "toy", 8, 4, 128, 16, cli_epochs=3, train_share=0.5,
+             "mlp_gan", "toy", 8, 4, 128, 16, cli_epochs=3,
              traced_epochs=40, optimizer=(("g_lr", 4e-4), ("d_lr", 8e-4))),
     Workload("fixture-sagan1d",
              "every conv, conv-transpose and batch-norm op at the documented "
              "shapes, and the only path through attention_forward and softmax; "
              "no double backward",
-             "sagan1d", "fixture", 127, 12, 32, 100, cli_epochs=1, train_share=0.5,
+             "sagan1d", "fixture", 127, 12, 32, 100, cli_epochs=1,
              traced_epochs=5),
     Workload("fixture-wgan-gp",
              "autodiff.grad(create_graph=True) and losses.gradient_penalty with "
              "n_critic 5; the critic has no batch norm and no attention",
-             "wgan_gp", "fixture", 127, 12, 32, 100, cli_epochs=1, train_share=0.5,
+             "wgan_gp", "fixture", 127, 12, 32, 100, cli_epochs=1,
              traced_epochs=9),
-    Workload("cli-pipeline",
-             "CLI subprocesses: CSV ingest and writing, the JSON checkpoint "
-             "written and read back, SHA-256 manifests, evaluator and SVG "
-             "renderers; dcgan1d training is a small share",
-             "dcgan1d", "fixture", 127, 12, 32, 100, cli_epochs=3, train_share=0.3,
-             traced_epochs=5),
 )}
 
 
@@ -162,18 +159,21 @@ def prepare_data(workload: Workload, seed: int, work: str) -> str:
 
 def measure_setup(workload: Workload, seed: int, data: str, ledger: Ledger,
                   probes: int) -> list:
+    """(start, end, seconds to the first update) of each fresh process."""
     probe = os.path.join(os.path.dirname(os.path.abspath(__file__)), "setup_probe.py")
     times = []
     for _ in range(probes):
+        start = time.perf_counter()
         t0 = time.monotonic()
         proc = ledger.call("setup probe", subprocess.run,
                            [sys.executable, probe, workload.name, str(seed), data, repr(t0)],
                            capture_output=True, text=True, env=child_env(), cwd=ROOT,
                            timeout=CHILD_TIMEOUT_S)
+        end = time.perf_counter()
         if proc is None:
             continue
         if ledger.check("setup probe exit status", proc.returncode == 0, proc.stderr[-500:]):
-            times.append(float(proc.stdout.strip().splitlines()[-1]))
+            times.append((start, end, float(proc.stdout.strip().splitlines()[-1])))
     return times
 
 
@@ -215,6 +215,7 @@ def run_cli_chain(workload: Workload, seed: int, data: str, out: str,
         "report": (["report", "--out", ev], ev),
     }
     seconds, written = {}, {}
+    start = time.perf_counter()
     for step in CLI_STEPS:
         args, target = commands[step]
         before = _dir_bytes(target) if os.path.isdir(target) else 0
@@ -228,8 +229,9 @@ def run_cli_chain(workload: Workload, seed: int, data: str, out: str,
                                             (proc.stderr or "")[-500:]):
             return None
         written[step] = _dir_bytes(target) - before
+    end = time.perf_counter()
     _check_cli_outputs(gen, ev, ledger)
-    return {"seconds": seconds, "bytes": written, "dir": out,
+    return {"seconds": seconds, "bytes": written, "dir": out, "start": start, "end": end,
             "checkpoint": os.path.join(resumed, "checkpoint.json"),
             "losses": [os.path.join(first, "losses.csv"), os.path.join(resumed, "losses.csv")],
             "generated": os.path.join(gen, "generated.csv"), "evaluated": ev}
@@ -349,14 +351,20 @@ def check_history(workload: Workload, state, n_windows: int, ledger: Ledger):
                  f"want {want} per epoch, got {wrong}")
 
 
-def step_samples_ms(timings) -> list:
-    """Step = n_critic D updates + 1 G update; a step ends at its G record."""
+def _pace(speed, start: float, end: float) -> float:
+    return 1.0 if speed is None else speed.factor(start, end)
+
+
+def step_samples_ms(timings, speed=None) -> list:
+    """Step = n_critic D updates + 1 G update; a step ends at its G record.
+    With a Speed, each epoch's steps are at reference pace."""
     out = []
     for t in timings:
+        pace = _pace(speed, t.start, t.end)
         prev = t.start
         for phase, at in t.marks:
             if phase == "g":
-                out.append((at - prev) * 1e3)
+                out.append((at - prev) * 1e3 * pace)
                 prev = at
     return out
 
@@ -381,46 +389,55 @@ def epoch_overhead_ms(timings) -> list:
             for t in timings if t.marks]
 
 
-def windows_per_s(workload: Workload, n_windows: int, timings) -> float:
+def windows_per_s(workload: Workload, n_windows: int, timings, speed=None) -> float:
     """Windows consumed by D updates per second of epoch wall time (per-epoch
     overhead included), over the median epoch so that a burst of machine
-    noise in one epoch does not move it."""
-    return workload.windows_per_epoch(n_windows) / median([t.end - t.start for t in timings])
+    noise in one epoch does not move it. With a Speed, at reference pace."""
+    return workload.windows_per_epoch(n_windows) / median(
+        [(t.end - t.start) * _pace(speed, t.start, t.end) for t in timings])
 
 
 # ----------------------------------------------------------------------
 # generate and evaluate
 # ----------------------------------------------------------------------
 
+def no_tick():
+    """Stands in for Speed.tick where no reference kernel is timed."""
+
+
 def generate_windows(workload: Workload) -> int:
     return -(-GENERATE_RETURNS // workload.seq_len)
 
 
-def measure_generate(workload: Workload, state, seed: int, ledger: Ledger, calls: int):
-    """Per-call windows/s of training.generate and the first call's returns."""
+def measure_generate(workload: Workload, state, seed: int, ledger: Ledger, calls: int,
+                     tick=no_tick):
+    """(start, end, windows/s) of each training.generate call, and the first
+    call's returns."""
     from marketgan import training
     n = generate_windows(workload)
     rates, first = [], None
     for _ in range(calls):
+        tick()
         t0 = time.perf_counter()
         windows = ledger.call("generate", training.generate, state, n, seed)
-        dt = time.perf_counter() - t0
+        t1 = time.perf_counter()
         if windows is None:
             continue
         if first is None:
             first = windows.reshape(-1)[:GENERATE_RETURNS] * state.data_scale
-        rates.append(n / dt)
+        rates.append((t0, t1, n / (t1 - t0)))
+    tick()
     return rates, first
 
 
-def sample_returns(state, n: int, seed: int, ledger: Ledger):
-    """n returns from the generator of a (training) state, or None."""
-    if state is None:
-        return None
-    from marketgan import training
-    windows = ledger.call("generate", training.generate, state,
-                          -(-n // state.config.seq_len), seed)
-    return None if windows is None else windows.reshape(-1)[:n] * state.data_scale
+def candidate_returns(seed: int, n: int = EVALUATE_RETURNS):
+    """n heavy-tailed daily returns (Student t, 4 degrees of freedom, scale
+    1%) from the seed: the candidate that evaluate scores. evaluate's cost
+    follows the sign pattern of its input (numpy's float power is about 20x
+    slower on negative bases), so samples of a model in training, whose
+    sign balance drifts from model to model, made its time swing with the
+    seed and with how far training got."""
+    return np.random.default_rng(seed).standard_t(4, n) * 0.01
 
 
 def check_generated_matches_cli(values, path: str, ledger: Ledger):
@@ -430,24 +447,98 @@ def check_generated_matches_cli(values, path: str, ledger: Ledger):
     ledger.check("training.generate matches the CLI's generated.csv", same)
 
 
-def measure_evaluate(candidate, reference, ledger: Ledger, calls: int):
-    """Per-call ms of stylized_facts.evaluate; each report is checked."""
+def measure_evaluate(candidate, reference, ledger: Ledger, calls: int, tick=no_tick):
+    """(start, end, ms) of each stylized_facts.evaluate call; each report is
+    checked."""
     from marketgan import stylized_facts
     times = []
     for _ in range(calls):
+        tick()
         t0 = time.perf_counter()
         report = ledger.call("evaluate", stylized_facts.evaluate, candidate, reference)
-        dt = time.perf_counter() - t0
+        t1 = time.perf_counter()
         if report is None:
             continue
-        times.append(dt * 1e3)
+        times.append((t0, t1, (t1 - t0) * 1e3))
         ledger.check("evaluate returns the five verdicts",
                      sorted(report.verdicts) == sorted(FACT_NAMES))
+    tick()
     return times
 
 
 def peak_rss_mib() -> float:
+    """Peak RSS of the largest child process waited for so far."""
     import resource
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, children) / 1024.0   # ru_maxrss is in KiB on Linux
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+
+
+# ----------------------------------------------------------------------
+# speed: the shared machine's pace, from a fixed reference kernel
+# ----------------------------------------------------------------------
+
+REFERENCE_NOMINAL_MS = 2.0    # about the median burst on the build machine (README)
+REFERENCE_GAP_S = 0.2         # at most one tick per this many seconds
+REFERENCE_WINDOW_S = 5.0      # bursts this close to an interval set its factor
+REFERENCE_MIN_BURSTS = 9
+
+
+class Speed:
+    """Times a fixed numpy kernel between the benchmark's operations.
+
+    The kernel does not call marketgan and its inputs do not depend on the
+    seed, so a change to the package cannot move it; what moves it is the
+    pace of the machine, which on a shared host changes from one stretch of
+    minutes to the next. A timing is reported at reference pace: multiplied
+    by REFERENCE_NOMINAL_MS over the median burst around it. The kernel
+    mixes what the workloads spend their time on: small ops dispatched from
+    Python, a BLAS matmul and a pass over memory larger than the L2 cache."""
+
+    def __init__(self):
+        rng = np.random.default_rng(20210611)
+        x, w = rng.normal(size=(32, 64)), rng.normal(size=(64, 64)) / 8.0
+        a, b = rng.normal(size=(128, 256)), rng.normal(size=(256, 256))
+        u, v, out = rng.normal(size=400_000), rng.normal(size=400_000), np.empty(400_000)
+
+        def dispatch():
+            y = x
+            for _ in range(24):
+                y = np.tanh(y @ w) * 0.9 + 0.05
+
+        self._parts = (dispatch, lambda: a @ b, lambda: np.multiply(u, v, out=out))
+        self.samples: list = []   # (perf_counter at the burst's end, ms)
+        self._last = -math.inf
+
+    def _burst_ms(self) -> float:
+        """Each part once to warm up after whatever ran before, then timed."""
+        total = 0.0
+        for part in self._parts:
+            part()
+            t0 = time.perf_counter()
+            part()
+            total += time.perf_counter() - t0
+        return total * 1e3
+
+    def tick(self):
+        """One burst, unless the last was less than REFERENCE_GAP_S ago.
+        Call it only right after the process has been computing: after
+        waiting for a child process the bursts read up to twice as slow,
+        whatever the machine's pace."""
+        if time.perf_counter() - self._last >= REFERENCE_GAP_S:
+            ms = self._burst_ms()
+            self._last = time.perf_counter()
+            self.samples.append((self._last, ms))
+
+    def factor(self, start: float, end: float) -> float:
+        """Reference pace over the machine's pace around [start, end]: a
+        time measured then, multiplied by this, is the time at reference pace."""
+        near = [ms for at, ms in self.samples
+                if start - REFERENCE_WINDOW_S <= at <= end + REFERENCE_WINDOW_S]
+        if len(near) < REFERENCE_MIN_BURSTS:
+            mid = (start + end) / 2
+            near = [ms for _, ms in sorted(self.samples, key=lambda s: abs(s[0] - mid))
+                    [:REFERENCE_MIN_BURSTS]]
+        return REFERENCE_NOMINAL_MS / median(near)
+
+    def median_ms(self) -> float:
+        return median([ms for _, ms in self.samples])
