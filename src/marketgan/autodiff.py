@@ -5,6 +5,12 @@ written in terms of the ops in this module, so gradients themselves can be
 recorded and differentiated again (needed for gradient penalties). All
 arithmetic is float64; any op that produces a non-finite value raises
 NonFiniteError instead of letting NaN/inf propagate silently.
+
+The reverse sweep computes only the branches that lead to its targets (the
+tensors grad() was asked about, or the leaves backward() fills): a node
+runs its backward closure only when one of its inputs is a target or was
+produced by such a node, and the closure is told which inputs need a
+gradient, so a gradient nobody reads is never formed.
 """
 
 from __future__ import annotations
@@ -52,16 +58,9 @@ def grad_enabled() -> bool:
 
 
 class Tape:
-    """Ordered record of nodes created during a forward pass."""
-
-    def __init__(self):
-        self.nodes = []
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __repr__(self):
-        return f"Tape({len(self.nodes)} nodes)"
+    """Identity of one recording: the nodes created between two backward()
+    calls share a Tape. It holds no reference to them, so an intermediate
+    is freed as soon as no tensor or graph that is still in use needs it."""
 
 
 _ACTIVE_TAPE: Tape | None = None
@@ -75,12 +74,17 @@ def _active_tape() -> Tape:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "out", "backward_fn", "seq", "tape", "consumed")
+    # The node keeps the id of its output, not the output itself: a tensor
+    # and its node referring to each other would be a reference cycle, and
+    # every recorded array would then wait for the cycle collector instead
+    # of being freed when its last user lets go. A node is only ever reached
+    # through its output tensor, so the id is live whenever it is read.
+    __slots__ = ("op", "inputs", "out_id", "backward_fn", "seq", "tape", "consumed")
 
     def __init__(self, op, inputs, out, backward_fn, tape):
         self.op = op
         self.inputs = inputs
-        self.out = out
+        self.out_id = id(out)
         self.backward_fn = backward_fn
         self.seq = next(_SEQ)
         self.tape = tape
@@ -209,7 +213,6 @@ def _record(op: str, out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor
         tape = _active_tape()
         node = _Node(op, inputs, out, backward_fn, tape)
         out._node = node
-        tape.nodes.append(node)
     return out
 
 
@@ -236,9 +239,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
 
-    def backward_fn(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+    def backward_fn(g, need):
+        ga = _unbroadcast(g, a.shape) if need[0] else None
+        gb = _unbroadcast(g, b.shape) if need[1] else None
         return ga, gb
 
     return _record("add", out, (a, b), backward_fn)
@@ -251,9 +254,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}") from e
 
-    def backward_fn(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(neg(g), b.shape) if b.requires_grad else None
+    def backward_fn(g, need):
+        ga = _unbroadcast(g, a.shape) if need[0] else None
+        gb = _unbroadcast(neg(g), b.shape) if need[1] else None
         return ga, gb
 
     return _record("sub", out, (a, b), backward_fn)
@@ -266,9 +269,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from e
 
-    def backward_fn(g):
-        ga = _unbroadcast(mul(g, b), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(mul(g, a), b.shape) if b.requires_grad else None
+    def backward_fn(g, need):
+        ga = _unbroadcast(mul(g, b), a.shape) if need[0] else None
+        gb = _unbroadcast(mul(g, a), b.shape) if need[1] else None
         return ga, gb
 
     return _record("mul", out, (a, b), backward_fn)
@@ -282,10 +285,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         except ValueError as e:
             raise ShapeError(f"div: {a.shape} vs {b.shape}") from e
 
-    def backward_fn(g):
-        ga = _unbroadcast(div(g, b), a.shape) if a.requires_grad else None
+    def backward_fn(g, need):
+        ga = _unbroadcast(div(g, b), a.shape) if need[0] else None
         gb = None
-        if b.requires_grad:
+        if need[1]:
             gb = _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)
         return ga, gb
 
@@ -295,7 +298,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (neg(g),)
 
     return _record("neg", -a.data, (a,), backward_fn)
@@ -308,7 +311,7 @@ def powc(a: Tensor, exponent) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = a.data ** c
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (mul(mul(g, c), powc(a, c - 1.0)),)
 
     return _record("pow", out, (a,), backward_fn)
@@ -319,7 +322,7 @@ def texp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = np.exp(a.data)
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (mul(g, out),)
 
     out = _record("exp", out_data, (a,), backward_fn)
@@ -331,7 +334,7 @@ def tlog(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(a.data)
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (div(g, a),)
 
     return _record("log", out, (a,), backward_fn)
@@ -342,7 +345,7 @@ def tsqrt(a: Tensor) -> Tensor:
     with np.errstate(invalid="ignore"):
         out_data = np.sqrt(a.data)
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (div(mul(g, 0.5), out),)
 
     out = _record("sqrt", out_data, (a,), backward_fn)
@@ -357,7 +360,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(a.data, lo, hi)
     mask = Tensor(((a.data > lo) & (a.data < hi)).astype(np.float64))
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (mul(g, mask),)
 
     return _record("clip", out, (a,), backward_fn)
@@ -375,7 +378,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from e
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (reshape(g, a.shape),)
 
     return _record("reshape", out, (a,), backward_fn)
@@ -387,7 +390,7 @@ def transpose_last(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose_last needs ndim >= 2, got {a.shape}")
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (transpose_last(g),)
 
     return _record("transpose", np.swapaxes(a.data, -1, -2), (a,), backward_fn)
@@ -401,7 +404,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"broadcast_to: {a.shape} -> {shape}") from e
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (_unbroadcast(g, a.shape),)
 
     return _record("broadcast_to", out, (a,), backward_fn)
@@ -420,7 +423,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         1 if i in axes else s for i, s in enumerate(a.shape)
     )
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         gk = g if keepdims or a.ndim == 0 else reshape(g, kept_shape)
         return (broadcast_to(gk, a.shape),)
 
@@ -452,9 +455,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: batch dimensions {a.shape[0]} vs {b.shape[0]} differ")
     out = a.data @ b.data
 
-    def backward_fn(g):
-        ga = matmul(g, transpose_last(b)) if a.requires_grad else None
-        gb = matmul(transpose_last(a), g) if b.requires_grad else None
+    def backward_fn(g, need):
+        ga = matmul(g, transpose_last(b)) if need[0] else None
+        gb = matmul(transpose_last(a), g) if need[1] else None
         return ga, gb
 
     return _record("matmul", out, (a, b), backward_fn)
@@ -468,7 +471,7 @@ def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     mask = Tensor((a.data > 0).astype(np.float64))
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (mul(g, mask),)
 
     return _record("relu", np.maximum(a.data, 0.0), (a,), backward_fn)
@@ -479,10 +482,13 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"leaky_relu: alpha must lie in (0, 1), got {alpha}")
-    out = np.where(a.data > 0, a.data, alpha * a.data)
-    slope = Tensor(np.where(a.data > 0, 1.0, alpha))
+    # the slope is exactly 1.0 or alpha, so x * slope equals the branchy
+    # np.where(x > 0, x, alpha * x) bit for bit without its mispredictions
+    slope_data = np.maximum((a.data > 0).astype(np.float64), alpha)
+    out = a.data * slope_data
+    slope = Tensor(slope_data)
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (mul(g, slope),)
 
     return _record("leaky_relu", out, (a,), backward_fn)
@@ -491,7 +497,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (mul(g, sub(1.0, mul(out, out))),)
 
     out = _record("tanh", np.tanh(a.data), (a,), backward_fn)
@@ -508,7 +514,7 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     out_data[~pos] = ex / (1.0 + ex)
 
-    def backward_fn(g):
+    def backward_fn(g, _need):
         return (mul(g, mul(out, sub(1.0, out))),)
 
     out = _record("sigmoid", out_data, (a,), backward_fn)
@@ -610,11 +616,18 @@ def _demote_conv_output(y: Tensor, rank: int) -> Tensor:
 
 
 def _conv1d_windows(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """Strided view of the padded input: [B, C, L_out, k]."""
+    """Read-only strided view of the zero-padded input: [B, C, L_out, k]."""
+    batch, channels, length = x.shape
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    wins = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
-    return wins[:, :, ::stride, :]
+        padded = np.zeros((batch, channels, length + 2 * padding))
+        padded[:, :, padding: padding + length] = x
+        x = padded
+    l_out = (x.shape[2] - k) // stride + 1
+    s_batch, s_chan, s_pos = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (batch, channels, l_out, k), (s_batch, s_chan, s_pos * stride, s_pos),
+        writeable=False)
+
 
 def _conv1d_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     batch, _, length = x.shape
@@ -674,13 +687,11 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     length = x3.shape[2]
     out = _conv1d_raw(x3.data, w3.data, stride, padding)
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         gx = None
-        if x3.requires_grad:
+        if need[0]:
             gx = conv1d_transpose(g, w3, stride, padding, output_length=length)
-        gw = None
-        if w3.requires_grad:
-            gw = _conv1d_kgrad(x3, g, stride, padding, k)
+        gw = _conv1d_kgrad(x3, g, stride, padding, k) if need[1] else None
         return gx, gw
 
     y = _record("conv1d", out, (x3, w3), backward_fn)
@@ -712,9 +723,9 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             raise ShapeError(f"conv1d_transpose: output_length must be >= 1, got {out_len}")
     out = _conv1d_transpose_raw(x3.data, w3.data, stride, padding, out_len)
 
-    def backward_fn(g):
-        gx = conv1d(g, w3, stride, padding) if x3.requires_grad else None
-        gw = _conv1d_kgrad(g, x3, stride, padding, k) if w3.requires_grad else None
+    def backward_fn(g, need):
+        gx = conv1d(g, w3, stride, padding) if need[0] else None
+        gw = _conv1d_kgrad(g, x3, stride, padding, k) if need[1] else None
         return gx, gw
 
     y = _record("conv1d_transpose", out, (x3, w3), backward_fn)
@@ -732,12 +743,12 @@ def _conv1d_kgrad(x: Tensor, gout: Tensor, stride: int, padding: int, k: int) ->
     length = x3.shape[2]
     out = _conv1d_kgrad_raw(x3.data, g3.data, stride, padding, k)
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         # g has kernel shape [O,C,k] and plays the role of a kernel here
         gx = None
-        if x3.requires_grad:
+        if need[0]:
             gx = conv1d_transpose(g3, g, stride, padding, output_length=length)
-        gg = conv1d(x3, g, stride, padding) if g3.requires_grad else None
+        gg = conv1d(x3, g, stride, padding) if need[1] else None
         return gx, gg
 
     return _record("conv1d_kgrad", out, (x3, g3), backward_fn)
@@ -798,20 +809,39 @@ def _reachable(root: _Node):
     return order
 
 
-def _walk(loss: Tensor, create_graph: bool):
-    """Run the reverse sweep, returning {id(tensor): (tensor, grad Tensor)}."""
+def _walk(loss: Tensor, is_target, create_graph: bool):
+    """Run the reverse sweep from ``loss`` towards the tensors for which
+    ``is_target`` holds. Returns the reachable nodes and
+    {id(tensor): (tensor, grad Tensor)}.
+
+    Nodes come in recording order, so one forward pass marks each node
+    live when one of its inputs is a target or was produced by a live
+    node. Only live nodes run their backward closure, which gets one flag
+    per input saying whether that input needs a gradient. Raises TapeError
+    if backward() already consumed any node on the way.
+    """
     nodes = _reachable(loss._node)
+    if any(node.consumed for node in nodes):
+        raise TapeError("this recording was already consumed by a previous backward")
+    live = set()
+    plan = []
+    for node in nodes:
+        need = tuple(is_target(t) or (t._node is not None and id(t._node) in live)
+                     for t in node.inputs)
+        if any(need):
+            live.add(id(node))
+            plan.append((node, need))
     grads = {id(loss): loss}
     acc = {id(loss): Tensor(np.ones_like(loss.data))}
     ctx = nullcontext() if create_graph else no_grad()
     with ctx:
-        for node in reversed(nodes):
-            g = acc.get(id(node.out))
+        for node, need in reversed(plan):
+            g = acc.get(node.out_id)
             if g is None:
                 continue
-            in_grads = node.backward_fn(g)
+            in_grads = node.backward_fn(g, need)
             for t, ig in zip(node.inputs, in_grads):
-                if ig is None or not t.requires_grad:
+                if ig is None:
                     continue
                 if id(t) in acc:
                     acc[id(t)] = add(acc[id(t)], ig)
@@ -830,25 +860,28 @@ def _check_scalar(loss: Tensor):
         raise TapeError("tensor was not recorded on any tape (nothing to differentiate)")
 
 
+def _is_trainable_leaf(t: Tensor) -> bool:
+    return t._node is None and t.requires_grad
+
+
 def backward(loss: Tensor, tape: Tape | None = None):
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every leaf tensor
     (one not produced by a recorded op) that requires gradients and was
     used to compute ``loss``. Gradients of intermediate tensors are not
-    retained; use grad() to query those.
+    retained; use grad() to query those. The sweep computes only the
+    branches that lead to such leaves: a leaf whose ``requires_grad`` is
+    off (a frozen parameter) gets no gradient and costs none.
 
-    Consumes the recording: running backward again over any of the same
-    nodes raises TapeError until a fresh forward pass re-records them.
+    Consumes the recording: running backward or grad() again over any of
+    the same nodes raises TapeError until a fresh forward pass re-records
+    them. Consumed nodes drop their inputs and closures, so the arrays the
+    recording held are freed as soon as backward returns.
     """
     global _ACTIVE_TAPE
     _check_scalar(loss)
     if tape is not None and loss._node.tape is not tape:
         raise TapeError("loss tensor is not on the given tape")
-    if loss._node.consumed:
-        raise TapeError("this recording was already consumed by a previous backward")
-    nodes, collected = _walk(loss, create_graph=False)
-    for node in nodes:
-        if node.consumed:
-            raise TapeError("this recording was already consumed by a previous backward")
+    nodes, collected = _walk(loss, _is_trainable_leaf, create_graph=False)
     for t, g in collected.values():
         if t._node is not None:
             continue
@@ -858,7 +891,11 @@ def backward(loss: Tensor, tape: Tape | None = None):
         else:
             t.grad = t.grad + g.data
     for node in nodes:
+        # a consumed node cannot run again, so it lets go of its inputs and
+        # closure; whatever only the recording kept alive is freed now
         node.consumed = True
+        node.inputs = ()
+        node.backward_fn = None
     if _ACTIVE_TAPE is not None and loss._node.tape is _ACTIVE_TAPE:
         _ACTIVE_TAPE = None
 
@@ -868,10 +905,17 @@ def grad(output: Tensor, inputs, create_graph: bool = False):
     touching ``.grad`` or consuming the recording.
 
     With ``create_graph=True`` the returned tensors are themselves recorded,
-    so they can be differentiated again (double backward).
+    so they can be differentiated again (double backward). The sweep
+    computes only the branches that lead to ``inputs``; gradients of other
+    tensors, such as the weights of a network differentiated with respect
+    to its input, are neither computed nor recorded. An input that does not
+    require gradients, or that ``output`` does not depend on, gets zeros.
+    Raises TapeError if backward() already consumed part of the recording.
     """
     _check_scalar(output)
-    _, collected = _walk(output, create_graph=create_graph)
+    inputs = list(inputs)
+    wanted = {id(t) for t in inputs if t.requires_grad}
+    _, collected = _walk(output, lambda t: id(t) in wanted, create_graph=create_graph)
     out = []
     for t in inputs:
         entry = collected.get(id(t))

@@ -9,6 +9,7 @@ scale is part of the dataset (and of every checkpoint).
 from __future__ import annotations
 
 import csv
+import datetime
 import importlib.resources
 import os
 import tempfile
@@ -111,10 +112,14 @@ def _parse_iso_date(text: str, row: int) -> str:
     parts = text.split("-")
     ok = (len(text) == 10 and len(parts) == 3
           and all(p.isdigit() for p in parts)
-          and len(parts[0]) == 4 and len(parts[1]) == 2 and len(parts[2]) == 2
-          and 1 <= int(parts[1]) <= 12 and 1 <= int(parts[2]) <= 31)
+          and len(parts[0]) == 4 and len(parts[1]) == 2 and len(parts[2]) == 2)
     if not ok:
         raise DataError(f"row {row}: invalid ISO date {text!r} (expected {DATE_FORMAT})")
+    # the shape is right; the calendar decides whether the day exists
+    try:
+        datetime.date.fromisoformat(text)
+    except ValueError as e:
+        raise DataError(f"row {row}: invalid ISO date {text!r} ({e})") from e
     return text
 
 

@@ -1,18 +1,22 @@
 """The alternating adversarial training loop.
 
 Each step runs n_critic discriminator (or critic) updates on fresh real
-batches, then one generator update. All randomness flows from named
-streams spawned off the master seed, every stream's state is serialized
-into checkpoints, and the loop never reorders work, so a run is
-reproducible bit for bit and can resume from a checkpoint as if it had
-never stopped. Training always runs the full epoch budget: loss levels
-are not a stopping signal for adversarial training, so model selection
-happens afterwards from checkpoints.
+batches, then one generator update. During the generator update the
+discriminator's parameters are frozen (``requires_grad`` off): the loss
+still flows through D into G, but no D gradient is formed or kept.
+
+All randomness flows from named streams spawned off the master seed,
+every stream's state is serialized into checkpoints, and the loop never
+reorders work, so a run is reproducible bit for bit and can resume from a
+checkpoint as if it had never stopped. Training always runs the full
+epoch budget: loss levels are not a stopping signal for adversarial
+training, so model selection happens afterwards from checkpoints.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,22 +321,37 @@ def _d_update(state, real_rows, wasserstein, epoch, record_hook):
             LossRecord(state.step, epoch, "d", d_value, None, gp_value))
 
 
+@contextmanager
+def _frozen(net: ly.Network):
+    """Switch off gradients for net's parameters; they come back on exit,
+    also when the body raises."""
+    params = list(net.params.values())
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = True
+
+
 def _g_update(state, wasserstein, epoch, record_hook):
     config = state.config
     try:
-        z = state.noise.sample(config.batch_size)
-        fake = state.g_net.forward(z, mode="train", update_stats=True)
-        d_fake = state.d_net.forward(fake, mode="train", update_stats=False)
-        if wasserstein:
-            g_loss = ad.neg(ad.tmean(d_fake))
-        else:
-            g_loss = losses.minimax_g_loss(d_fake, config.g_loss_variant)
-        g_value = g_loss.item()
-        state.g_net.zero_grad()
+        # zero first: the D phase left its gradients on the parameters
         state.d_net.zero_grad()
-        ad.backward(g_loss)     # flows through the frozen D into G
+        with _frozen(state.d_net):
+            z = state.noise.sample(config.batch_size)
+            fake = state.g_net.forward(z, mode="train", update_stats=True)
+            d_fake = state.d_net.forward(fake, mode="train", update_stats=False)
+            if wasserstein:
+                g_loss = ad.neg(ad.tmean(d_fake))
+            else:
+                g_loss = losses.minimax_g_loss(d_fake, config.g_loss_variant)
+            g_value = g_loss.item()
+            state.g_net.zero_grad()
+            ad.backward(g_loss)     # flows through the frozen D into G
         state.g_opt.step(state.g_net.parameters())
-        state.d_net.zero_grad()  # D gradients from the G phase are discarded
     except ad.NonFiniteError as e:
         raise TrainingDivergedError(
             f"non-finite value in generator phase at step {state.step}, "

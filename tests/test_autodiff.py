@@ -1,9 +1,13 @@
 """Tensor, tape and operator tests, anchored by finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import marketgan.autodiff as ad
 from conftest import check_gradients
@@ -61,6 +65,13 @@ class TestTapeSemantics:
         ad.backward(loss)
         with pytest.raises(ad.TapeError):
             ad.backward(loss)
+
+    def test_grad_over_consumed_recording_raises(self):
+        x = ad.Tensor([1.0], requires_grad=True)
+        loss = (x * x).sum()
+        ad.backward(loss)
+        with pytest.raises(ad.TapeError):
+            ad.grad(loss, [x])
 
     def test_backward_of_shared_subgraph_consumed(self):
         x = ad.Tensor([1.0], requires_grad=True)
@@ -124,6 +135,70 @@ class TestTapeSemantics:
         ad.backward(loss)
         assert c.grad is None
         np.testing.assert_allclose(x.grad, [2.0])
+
+
+class TestSweepPruning:
+    """The reverse sweep forms only gradients that lead to its targets."""
+
+    @staticmethod
+    def recorded_ops(monkeypatch):
+        ops = []
+        record = ad._record
+
+        def spy(op, *args):
+            ops.append(op)
+            return record(op, *args)
+
+        monkeypatch.setattr(ad, "_record", spy)
+        return ops
+
+    def test_input_gradient_through_conv_records_no_kernel_gradient(
+            self, rng, monkeypatch):
+        x = ad.Tensor(rng.standard_normal((2, 3, 9)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+        out = ad.leaky_relu(ad.conv1d(x, w, stride=2, padding=1)).sum()
+        ops = self.recorded_ops(monkeypatch)
+        (gx,) = ad.grad(out, [x], create_graph=True)
+        assert "conv1d_kgrad" not in ops
+        assert "conv1d_transpose" in ops
+        monkeypatch.undo()
+        (gx_ref, _) = ad.grad(out, [x, w])
+        np.testing.assert_array_equal(gx.data, gx_ref.data)
+
+    def test_gradient_with_respect_to_intermediate(self):
+        x = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        h = x * x
+        loss = (h * 3.0 + x * h).sum()
+        gh, gx = ad.grad(loss, [h, x])
+        np.testing.assert_array_equal(gh.data, 3.0 + x.data)
+        np.testing.assert_allclose(gx.data, 6.0 * x.data + 3.0 * x.data ** 2)
+        # asking for the intermediate alone stops the sweep at it
+        (gh_only,) = ad.grad(loss, [h])
+        np.testing.assert_array_equal(gh_only.data, gh.data)
+
+    def test_requested_input_without_requires_grad_gets_zeros(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        c = ad.Tensor([5.0, 7.0])
+        gc_, gx = ad.grad((x * c).sum(), [c, x])
+        np.testing.assert_array_equal(gc_.data, [0.0, 0.0])
+        np.testing.assert_array_equal(gx.data, [5.0, 7.0])
+
+    @pytest.mark.parametrize("sweep", ["grad", "backward"])
+    def test_sweep_does_not_pin_intermediates(self, sweep):
+        x = ad.Tensor(np.arange(4.0), requires_grad=True)
+        h = ad.tanh(x)
+        freed = weakref.ref(h.data)
+        loss = (h * h).sum()
+        if sweep == "grad":
+            ad.grad(loss, [x])
+        else:
+            ad.backward(loss)
+        del h
+        if sweep == "grad":
+            del loss
+            gc.collect()
+        # backward frees without the cycle collector, even with loss kept
+        assert freed() is None
 
 
 class TestDoubleBackward:
@@ -250,6 +325,44 @@ def test_activation_dispatch(rng):
     np.testing.assert_allclose(ad.activation(x, "linear").data, x.data)
     with pytest.raises(ValueError):
         ad.activation(x, "swish")
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                    elements=st.floats(-1e100, 1e100, allow_subnormal=True)
+                    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+       | st.sampled_from([5e-324, 1e-300, 0.2, 1.0 - 2.0 ** -53]))
+def test_leaky_relu_matches_where_bit_for_bit(x, alpha):
+    t = ad.Tensor(x, requires_grad=True)
+    out = ad.leaky_relu(t, alpha)
+    # d(sum)/dx multiplies a gradient of exact ones by the slope
+    (slope,) = ad.grad(out.sum(), [t])
+    np.testing.assert_array_equal(bits(out.data), bits(np.where(x > 0, x, alpha * x)))
+    np.testing.assert_array_equal(bits(slope.data), bits(np.where(x > 0, 1.0, alpha)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=st.integers(1, 3), channels=st.integers(1, 4),
+       length=st.integers(1, 20), k=st.integers(1, 6), stride=st.integers(1, 4),
+       padding=st.integers(0, 3), contiguous=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_conv_windows_match_pad_and_sliding_view(batch, channels, length, k, stride,
+                                                 padding, contiguous, seed):
+    if length + 2 * padding < k:
+        return
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, channels, length))
+    if not contiguous:
+        x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    ref = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)[:, :, ::stride, :]
+    got = ad._conv1d_windows(x, k, stride, padding)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(bits(got), bits(ref))
 
 
 def test_sigmoid_is_stable_for_large_inputs():

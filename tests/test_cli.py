@@ -144,6 +144,13 @@ class TestTrainCommand:
         write_returns_csv(short, np.full(8, 0.01))
         assert main(["train", "--data", str(short),
                      "--out", str(tmp_path)] + TRAIN_FLAGS) == 3
+        capsys.readouterr()
+        bad_day = tmp_path / "bad_day.csv"
+        bad_day.write_text("date,adjusted_close\n"
+                           + "".join(f"2021-02-{d:02d},{100 + d}.0\n" for d in range(1, 32)))
+        assert main(["train", "--data", str(bad_day),
+                     "--out", str(tmp_path)] + TRAIN_FLAGS) == 3
+        assert "row 30: invalid ISO date '2021-02-29'" in capsys.readouterr().err
 
     def test_exit_3_on_bad_resume_checkpoint(self, work, tmp_path):
         assert main(["train", "--resume", str(tmp_path / "gone.json"),

@@ -129,6 +129,18 @@ class TestIngestCsv:
         with pytest.raises(DataError, match="row 2: invalid ISO date"):
             ingest_csv(make_csv(tmp_path, text))
 
+    # "\u00b2" passes str.isdigit() but is no ASCII digit
+    @pytest.mark.parametrize("day", ["2021-02-31", "2021-04-31", "2019-02-29", "2020-00-10",
+                                     "2020-0\u00b2-01"])
+    def test_impossible_calendar_day(self, tmp_path, day):
+        text = f"date,adjusted_close\n2019-01-02,1.0\n{day},1.0\n"
+        with pytest.raises(DataError, match=f"row 3: invalid ISO date '{day}'"):
+            ingest_csv(make_csv(tmp_path, text))
+
+    def test_leap_day_accepted(self, tmp_path):
+        ps = ingest_csv(make_csv(tmp_path, "date,adjusted_close\n2020-02-29,1.0\n"))
+        assert ps.dates == ["2020-02-29"]
+
     def test_missing_price(self, tmp_path):
         text = "date,adjusted_close\n2020-01-02,\n"
         with pytest.raises(DataError, match="row 2: missing price"):

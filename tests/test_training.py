@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from marketgan import training
 from marketgan.market_data import WindowedDataset, normalize_and_window
 from marketgan.training import (
     CheckpointError,
@@ -330,6 +331,36 @@ class TestDivergenceDetection:
         with pytest.raises(TrainingDivergedError,
                            match=r"generator phase at step \d+, epoch 1"):
             resume(state, ds, record_hook=poison)
+
+
+class TestGeneratorPhase:
+    """D is frozen while G updates: no D gradient is formed or left behind."""
+
+    @staticmethod
+    def assert_d_untouched(state):
+        for _, p in state.d_net.parameters():
+            assert p.grad is None
+            assert p.requires_grad
+
+    @pytest.mark.parametrize("config", [small_config(epochs=1), wgan_config()],
+                             ids=["mlp_gan", "wgan_gp"])
+    def test_d_parameters_after_g_update(self, config):
+        ds = small_dataset(seq_len=config.seq_len, n_values=200)
+        state = train(config, ds)
+        wasserstein = config.gan_variant == "wgan_gp"
+        training._d_update(state, ds.windows[: config.batch_size], wasserstein, 1, None)
+        assert all(p.grad is not None for _, p in state.d_net.parameters())
+        g_before = params_blob(state.g_net)
+        training._g_update(state, wasserstein, 1, None)
+        self.assert_d_untouched(state)
+        assert params_blob(state.g_net) != g_before
+
+    def test_d_parameters_restored_after_divergence(self):
+        state = train(small_config(epochs=1), small_dataset())
+        state.g_net.parameters()[0][1].data[:] = np.nan
+        with pytest.raises(TrainingDivergedError, match="generator phase"):
+            training._g_update(state, False, 1, None)
+        self.assert_d_untouched(state)
 
 
 @pytest.fixture(scope="module")
