@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -53,10 +54,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tape:
     """Identity of one recording: the nodes created between two backward()
     calls share a Tape. It holds no reference to them, so an intermediate
@@ -79,6 +76,9 @@ class _Node:
     # every recorded array would then wait for the cycle collector instead
     # of being freed when its last user lets go. A node is only ever reached
     # through its output tensor, so the id is live whenever it is read.
+    # Ops whose gradient reads their own output (exp, sqrt, tanh, sigmoid)
+    # hold it through a weak reference for the same reason; the sweep keeps
+    # every tensor that receives a gradient alive while its closure runs.
     __slots__ = ("op", "inputs", "out_id", "backward_fn", "seq", "tape", "consumed")
 
     def __init__(self, op, inputs, out, backward_fn, tape):
@@ -109,7 +109,7 @@ class Tensor:
     pass carry a reference to the node that produced them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -323,9 +323,10 @@ def texp(a: Tensor) -> Tensor:
         out_data = np.exp(a.data)
 
     def backward_fn(g, _need):
-        return (mul(g, out),)
+        return (mul(g, out_ref()),)
 
     out = _record("exp", out_data, (a,), backward_fn)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -346,9 +347,10 @@ def tsqrt(a: Tensor) -> Tensor:
         out_data = np.sqrt(a.data)
 
     def backward_fn(g, _need):
-        return (div(mul(g, 0.5), out),)
+        return (div(mul(g, 0.5), out_ref()),)
 
     out = _record("sqrt", out_data, (a,), backward_fn)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -498,9 +500,11 @@ def tanh(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
     def backward_fn(g, _need):
+        out = out_ref()
         return (mul(g, sub(1.0, mul(out, out))),)
 
     out = _record("tanh", np.tanh(a.data), (a,), backward_fn)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -515,9 +519,11 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data[~pos] = ex / (1.0 + ex)
 
     def backward_fn(g, _need):
+        out = out_ref()
         return (mul(g, mul(out, sub(1.0, out))),)
 
     out = _record("sigmoid", out_data, (a,), backward_fn)
+    out_ref = weakref.ref(out)
     return out
 
 

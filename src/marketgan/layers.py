@@ -400,18 +400,27 @@ class Network:
     def from_state_dict(cls, state: dict) -> "Network":
         spec = NetworkSpec.from_dict(state["spec"])
         net = build(spec, int(state["init_seed"]))
+        if set(state["params"]) != set(net.params):
+            raise BuildError(f"checkpoint parameters {sorted(state['params'])} do not "
+                             f"match the spec's {sorted(net.params)}")
+        if set(state["running"]) != {str(i) for i in net.running}:
+            raise BuildError(f"checkpoint running statistics for layers "
+                             f"{sorted(state['running'])} do not match the spec's "
+                             f"batch-norm layers {sorted(net.running)}")
         for name, entry in state["params"].items():
-            if name not in net.params:
-                raise BuildError(f"checkpoint parameter {name!r} not in spec")
             arr = _unb64(entry["data"], entry["shape"])
             if arr.shape != net.params[name].shape:
                 raise BuildError(f"checkpoint parameter {name!r} has shape "
                                  f"{arr.shape}, spec wants {net.params[name].shape}")
             net.params[name].data = arr
         for idx_str, stats in state["running"].items():
-            idx = int(idx_str)
-            net.running[idx]["mean"] = _unb64(stats["mean"]["data"], stats["mean"]["shape"])
-            net.running[idx]["var"] = _unb64(stats["var"]["data"], stats["var"]["shape"])
+            running = net.running[int(idx_str)]
+            for key in ("mean", "var"):
+                arr = _unb64(stats[key]["data"], stats[key]["shape"])
+                if arr.shape != running[key].shape:
+                    raise BuildError(f"checkpoint running {key} of layer {idx_str} has "
+                                     f"shape {arr.shape}, spec wants {running[key].shape}")
+                running[key] = arr
         return net
 
 

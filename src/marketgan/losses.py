@@ -9,8 +9,6 @@ when the discriminator saturates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -18,28 +16,6 @@ from .autodiff import Tensor
 
 EPS_LOG = 1e-7
 GP_LAMBDA = 10.0
-
-LOSS_ROLES = ("d_loss", "g_loss", "critic_loss", "gp_term")
-
-
-@dataclass
-class LossValue:
-    """A realized loss scalar tagged with its role, as stored in histories."""
-    value: float
-    role: str
-
-    def __post_init__(self):
-        if self.role not in LOSS_ROLES:
-            raise ValueError(f"unknown loss role {self.role!r}")
-        self.value = float(self.value)
-        if not np.isfinite(self.value):
-            raise ad.NonFiniteError(f"{self.role} is not finite")
-        if self.role == "gp_term" and self.value < 0:
-            raise ValueError("gp_term cannot be negative")
-
-    @classmethod
-    def from_tensor(cls, t: Tensor, role: str) -> "LossValue":
-        return cls(t.item(), role)
 
 
 def _check_probability(t: Tensor, name: str) -> Tensor:

@@ -104,9 +104,6 @@ class WindowedDataset:
     def __len__(self):
         return self.windows.shape[0]
 
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) * self.scale
-
 
 def _parse_iso_date(text: str, row: int) -> str:
     parts = text.split("-")

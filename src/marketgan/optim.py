@@ -8,6 +8,8 @@ very first step with gradient g moves by almost exactly -lr * sign(g).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import NonFiniteError
@@ -34,8 +36,8 @@ def _check_grads(named_params):
 
 class SGD:
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {lr}")
         self.lr = float(lr)
 
     def step(self, named_params):
@@ -53,12 +55,12 @@ class SGD:
 class Adam:
     def __init__(self, lr: float = ADAM_LR, beta1: float = ADAM_BETA1,
                  beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {lr}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must lie in [0, 1)")
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError("eps must be finite and > 0")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)

@@ -11,11 +11,12 @@ The facts themselves are qualitative; every numeric threshold used to
 turn a score into a verdict lives in FactThresholds and is echoed into
 the report, so downstream consumers always see which bar was applied.
 All estimators are biased plug-in versions (divide by N), which keeps
-them exactly reproducible by brute-force oracles.
+them reproducible by brute-force oracles to 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -140,7 +141,9 @@ def moments(r) -> Moments:
     """Biased plug-in sample moments.
 
     skewness = m3 / m2^(3/2), excess kurtosis = m4 / m2^2 - 3 with
-    central moments m_k = mean((r - rbar)^k).
+    central moments m_k = mean((r - rbar)^k). The powers are plain
+    products of d = r - rbar and d2 = d * d (m3 from d2 * d, m4 from
+    d2 * d2), never a general float power.
     """
     values = _as_values(r)
     n = len(values)
@@ -148,11 +151,12 @@ def moments(r) -> Moments:
         raise InsufficientDataError(f"moments need at least 4 observations, got {n}")
     mean = float(values.mean())
     d = values - mean
-    m2 = float((d ** 2).mean())
+    d2 = d * d
+    m2 = float(d2.mean())
     if m2 == 0.0:
         raise DegenerateSeriesError("moments of a constant series are undefined")
-    m3 = float((d ** 3).mean())
-    m4 = float((d ** 4).mean())
+    m3 = float((d2 * d).mean())
+    m4 = float((d2 * d2).mean())
     return Moments(mean=mean, std=float(np.sqrt(m2)), skewness=m3 / m2 ** 1.5,
                    excess_kurtosis=m4 / m2 ** 2 - 3.0, n=n)
 
@@ -202,14 +206,29 @@ def aggregational_gaussianity_verdict(profile, min_relative_drop: float = 0.25,
 
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: the sup distance between
-    empirical CDFs, evaluated on the merged sample points."""
+    empirical CDFs, evaluated on the merged sample points.
+
+    Both samples are sorted, then merged by a stable sort of their
+    concatenation (linear for two presorted runs). The count of a-values
+    at or below each merged point is the running total of the points
+    that came from a; the CDFs are read at the last point of each run of
+    equal values, where they count every tie.
+    """
     a = np.sort(_as_values(a))
     b = np.sort(_as_values(b))
-    if len(a) == 0 or len(b) == 0:
+    na, nb = len(a), len(b)
+    if na == 0 or nb == 0:
         raise InsufficientDataError("ks_statistic needs non-empty samples")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
-    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    merged = np.concatenate([a, b])
+    order = np.argsort(merged, kind="stable")
+    count_a = np.cumsum(order < na)
+    count_b = np.arange(1, na + nb + 1) - count_a
+    grid = merged[order]
+    run_end = np.empty(na + nb, dtype=bool)
+    np.not_equal(grid[1:], grid[:-1], out=run_end[:-1])
+    run_end[-1] = True
+    cdf_a = count_a[run_end] / na
+    cdf_b = count_b[run_end] / nb
     return float(np.abs(cdf_a - cdf_b).max())
 
 
@@ -231,6 +250,8 @@ def leverage_effect_score(r, max_lag: int = 10) -> np.ndarray:
 
     Negative at short lags for equity indices: falls raise future
     volatility more than rallies do. Informational (no default verdict).
+    Each lag centres the two slices and takes three dot products; a slice
+    whose centred sum of squares is zero makes the lag degenerate.
     """
     values = _as_values(r)
     max_lag = int(max_lag)
@@ -238,17 +259,16 @@ def leverage_effect_score(r, max_lag: int = 10) -> np.ndarray:
     if n <= max_lag + 1:
         raise InsufficientDataError(
             f"need more than {max_lag + 1} observations, got {n}")
+    squares = values * values
     out = np.empty(max_lag)
     for tau in range(1, max_lag + 1):
-        x = values[:-tau]
-        y = values[tau:] ** 2
-        dx = x - x.mean()
-        dy = y - y.mean()
-        sx = float(np.sqrt((dx ** 2).mean()))
-        sy = float(np.sqrt((dy ** 2).mean()))
-        if sx == 0.0 or sy == 0.0:
+        dx = values[:-tau] - values[:-tau].mean()
+        dy = squares[tau:] - squares[tau:].mean()
+        sxx = float(np.dot(dx, dx))
+        syy = float(np.dot(dy, dy))
+        if sxx == 0.0 or syy == 0.0:
             raise DegenerateSeriesError("leverage correlation undefined for constant inputs")
-        out[tau - 1] = (dx * dy).mean() / (sx * sy)
+        out[tau - 1] = float(np.dot(dx, dy)) / (math.sqrt(sxx) * math.sqrt(syy))
     return out
 
 

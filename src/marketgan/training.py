@@ -16,6 +16,7 @@ training, so model selection happens afterwards from checkpoints.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -99,6 +100,8 @@ class TrainConfig:
             raise ValueError(f"unknown noise_distribution {self.noise_distribution!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        for settings in (self.g_optimizer, self.d_optimizer):
+            optim.make_optimizer(settings)      # raises on bad settings
 
     # flat-dict mirror, also the config-file schema
     def to_flat(self) -> dict:
@@ -446,30 +449,113 @@ def checkpoint_document(state: TrainState) -> dict:
     }
 
 
+@contextmanager
+def _reading(key: str):
+    """Turn a lookup, type or decode failure inside the block into a
+    CheckpointError that names the checkpoint field being read."""
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
+        raise CheckpointError(f"checkpoint field {key!r} is malformed: {e!r}") from e
+
+
+def _check_arrays(key: str, arrays: dict, non_negative: bool = False):
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint field {key!r}: {name} is not finite")
+        if non_negative and (arr < 0).any():
+            raise CheckpointError(f"checkpoint field {key!r}: {name} has negative entries")
+
+
+def _check_network(key: str, net: ly.Network):
+    _check_arrays(key, {name: p.data for name, p in net.params.items()})
+    for idx, stats in net.running.items():
+        _check_arrays(key, {f"running mean of layer {idx}": stats["mean"]})
+        _check_arrays(key, {f"running var of layer {idx}": stats["var"]},
+                      non_negative=True)
+
+
+def _check_optimizer(key: str, opt, net: ly.Network):
+    """Adam's moments must continue the run exactly: none before the first
+    step, afterwards one finite entry per parameter with its shape (and a
+    non-negative second moment)."""
+    if not isinstance(opt, optim.Adam):
+        return
+    if opt.t < 0:
+        raise CheckpointError(f"checkpoint field {key!r}: step count {opt.t} is negative")
+    expected = set(net.params) if opt.t > 0 else set()
+    for part, moments in (("m", opt.m), ("v", opt.v)):
+        if set(moments) != expected:
+            raise CheckpointError(
+                f"checkpoint field {key!r}: Adam {part} at step {opt.t} has entries "
+                f"{sorted(moments)}, expected {sorted(expected)}")
+        for name, arr in moments.items():
+            if arr.shape != net.params[name].shape:
+                raise CheckpointError(
+                    f"checkpoint field {key!r}: Adam {part}[{name!r}] has shape "
+                    f"{arr.shape}, the parameter has {net.params[name].shape}")
+        _check_arrays(key, {f"Adam {part}[{name!r}]": arr for name, arr in moments.items()},
+                      non_negative=part == "v")
+
+
+def _count(key: str, value) -> int:
+    with _reading(key):
+        n = int(value)
+    if n < 0:
+        raise CheckpointError(f"checkpoint field {key!r} is negative: {n}")
+    return n
+
+
 def state_from_document(doc: dict) -> TrainState:
+    """Rebuild a TrainState from a checkpoint document. Every malformed,
+    missing or non-finite field raises CheckpointError naming it."""
+    if not isinstance(doc, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a training checkpoint (bad format tag)")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
-    config = TrainConfig.from_flat(doc["config"])
-    config.validate()
-    g_net = ly.Network.from_state_dict(doc["generator"])
-    d_net = ly.Network.from_state_dict(doc["discriminator"])
-    noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, 0)
-    noise.set_state(doc["rng"]["noise"])
+    with _reading("config"):
+        config = TrainConfig.from_flat(doc["config"])
+        config.validate()
+    nets = {}
+    for key in ("generator", "discriminator"):
+        with _reading(key):
+            nets[key] = ly.Network.from_state_dict(doc[key])
+        _check_network(key, nets[key])
+    opts = {}
+    for key, net in (("g_optimizer", nets["generator"]),
+                     ("d_optimizer", nets["discriminator"])):
+        with _reading(key):
+            opts[key] = optim.restore_optimizer(doc[key])
+        _check_optimizer(key, opts[key], net)
+    with _reading("data_scale"):
+        data_scale = float(doc["data_scale"])
+    if not (math.isfinite(data_scale) and data_scale > 0):
+        raise CheckpointError(f"checkpoint field 'data_scale' must be positive "
+                              f"and finite, got {data_scale!r}")
+    n_windows = _count("n_windows", doc.get("n_windows"))
+    epoch = _count("epoch", doc.get("epoch"))
+    step = _count("step", doc.get("step"))
+    with _reading("rng"):
+        rng_doc = dict(doc["rng"])
+    with _reading("rng.noise"):
+        noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, 0)
+        noise.set_state(rng_doc["noise"])
     state = TrainState(
-        config, g_net, d_net,
-        optim.restore_optimizer(doc["g_optimizer"]),
-        optim.restore_optimizer(doc["d_optimizer"]),
-        noise,
+        config, nets["generator"], nets["discriminator"],
+        opts["g_optimizer"], opts["d_optimizer"], noise,
         np.random.default_rng(0), np.random.default_rng(0), np.random.default_rng(0),
-        float(doc["data_scale"]), int(doc["n_windows"]),
+        data_scale, n_windows,
     )
-    _set_rng_state(state.shuffle_rng, doc["rng"]["shuffle"])
-    _set_rng_state(state.gp_rng, doc["rng"]["gp"])
-    _set_rng_state(state.diag_rng, doc["rng"]["diag"])
-    state.epoch = int(doc["epoch"])
-    state.step = int(doc["step"])
+    for name, rng in (("shuffle", state.shuffle_rng), ("gp", state.gp_rng),
+                      ("diag", state.diag_rng)):
+        with _reading(f"rng.{name}"):
+            _set_rng_state(rng, rng_doc[name])
+    state.epoch = epoch
+    state.step = step
     return state
 
 

@@ -107,10 +107,12 @@ class TestTapeSemantics:
         assert not y.requires_grad
 
     def test_no_grad_restores_on_exit(self):
-        assert ad.grad_enabled()
+        x = ad.Tensor([1.0], requires_grad=True)
         with ad.no_grad():
-            assert not ad.grad_enabled()
-        assert ad.grad_enabled()
+            with ad.no_grad():
+                pass
+            assert (x * x)._node is None     # the inner exit keeps it off
+        assert (x * x)._node is not None
 
     def test_grad_does_not_consume(self):
         x = ad.Tensor([3.0], requires_grad=True)
@@ -185,20 +187,26 @@ class TestSweepPruning:
 
     @pytest.mark.parametrize("sweep", ["grad", "backward"])
     def test_sweep_does_not_pin_intermediates(self, sweep):
-        x = ad.Tensor(np.arange(4.0), requires_grad=True)
-        h = ad.tanh(x)
-        freed = weakref.ref(h.data)
-        loss = (h * h).sum()
-        if sweep == "grad":
-            ad.grad(loss, [x])
-        else:
-            ad.backward(loss)
-        del h
-        if sweep == "grad":
-            del loss
-            gc.collect()
-        # backward frees without the cycle collector, even with loss kept
-        assert freed() is None
+        # the four ops whose gradient reads their own output, freed without
+        # the cycle collector: backward even with loss kept, grad once the
+        # caller drops the graph
+        for op in (ad.texp, ad.tsqrt, ad.tanh, ad.sigmoid):
+            x = ad.Tensor(np.arange(1.0, 5.0), requires_grad=True)
+            h = op(x)
+            freed = weakref.ref(h.data)
+            loss = (h * h).sum()
+            gc.disable()
+            try:
+                if sweep == "grad":
+                    ad.grad(loss, [x])
+                else:
+                    ad.backward(loss)
+                del h
+                if sweep == "grad":
+                    del loss
+                assert freed() is None, op.__name__
+            finally:
+                gc.enable()
 
 
 class TestDoubleBackward:

@@ -4,6 +4,7 @@ Each command is exercised through main(argv) so the exit-code contract
 and the artifact layout are tested exactly as a shell user sees them.
 """
 
+import base64
 import datetime
 import hashlib
 import json
@@ -128,6 +129,10 @@ class TestTrainCommand:
         assert main(base + ["--variant", "mlp_gan", "--n-critic", "3"]) == 2
         assert main(base + ["--window-stride", "0"]) == 2
         assert main(["train", "--out", str(tmp_path)]) == 2    # no data source
+        for lr in ("-1", "NaN"):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(f'{{"g_lr": {lr}}}')
+            assert main(base + ["--config", str(cfg_path)]) == 2
 
     def test_exit_2_on_unknown_config_key(self, tmp_path, work):
         cfg_path = tmp_path / "cfg.json"
@@ -218,6 +223,48 @@ class TestGenerateCommand:
     def test_exit_3_on_missing_checkpoint(self, tmp_path):
         assert main(["generate", "--checkpoint", str(tmp_path / "gone.json"),
                      "--n", "4", "--out", str(tmp_path)]) == 3
+
+
+def _nan_weights(doc):
+    entry = doc["generator"]["params"]["0.weight"]
+    nan = np.full(entry["shape"], np.nan, dtype="<f8")
+    entry["data"] = base64.b64encode(nan.tobytes()).decode("ascii")
+
+
+def _truncate_parameter(doc):
+    entry = doc["generator"]["params"]["0.weight"]
+    entry["data"] = entry["data"][:-5]
+
+
+MALFORMED_CHECKPOINTS = {
+    "missing_rng_gp": lambda doc: doc["rng"].pop("gp"),
+    "truncated_base64": _truncate_parameter,
+    "null_n_windows": lambda doc: doc.update(n_windows=None),
+    "string_config": lambda doc: doc.update(config="x"),
+    "string_step": lambda doc: doc.update(step="abc"),
+    "parameter_shape": lambda doc: doc["generator"]["params"]["0.weight"].update(shape=[1]),
+    "nan_weights": _nan_weights,
+    "empty_adam_moments": lambda doc: doc["g_optimizer"].update(m={}),
+    "nan_learning_rate": lambda doc: doc["d_optimizer"].update(lr=float("nan")),
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "resume"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_exit_3_on_malformed_checkpoint(work, tmp_path, capsys, case, command):
+    doc = json.loads(work["ckpt"].read_text(encoding="utf-8"))
+    MALFORMED_CHECKPOINTS[case](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    if command == "generate":
+        argv = ["generate", "--checkpoint", str(bad), "--n", "4"]
+    else:
+        argv = ["train", "--resume", str(bad), "--data", str(work["data"]),
+                "--epochs", "2"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "bad checkpoint" in err
+    assert "Traceback" not in err
 
 
 class TestEvaluateCommand:

@@ -11,27 +11,6 @@ import marketgan.losses as losses
 from marketgan.autodiff import Tensor
 
 
-class TestLossValue:
-    def test_roles(self):
-        for role in losses.LOSS_ROLES:
-            assert losses.LossValue(0.5, role).role == role
-        with pytest.raises(ValueError):
-            losses.LossValue(0.5, "total_loss")
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ad.NonFiniteError):
-            losses.LossValue(float("nan"), "d_loss")
-
-    def test_rejects_negative_penalty(self):
-        with pytest.raises(ValueError):
-            losses.LossValue(-0.1, "gp_term")
-        assert losses.LossValue(0.0, "gp_term").value == 0.0
-
-    def test_from_tensor(self):
-        v = losses.LossValue.from_tensor(Tensor(1.25), "g_loss")
-        assert v.value == 1.25
-
-
 class TestMinimaxLosses:
     def test_equilibrium_value_is_2_log_2(self):
         half = Tensor(np.full(8, 0.5))

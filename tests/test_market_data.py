@@ -86,10 +86,6 @@ class TestWindowedDataset:
         with pytest.raises(DataError, match="positive"):
             WindowedDataset(np.zeros((2, 3)), window_length=3, stride=1, scale=0.0)
 
-    def test_denormalize_multiplies_by_scale(self):
-        ds = WindowedDataset(np.full((1, 2), 0.5), 2, 1, scale=0.04)
-        np.testing.assert_array_equal(ds.denormalize(ds.windows), np.full((1, 2), 0.02))
-
 
 class TestIngestCsv:
     def test_happy_path(self, tmp_path):
@@ -226,7 +222,7 @@ class TestNormalizeAndWindow:
     def test_denormalize_recovers_returns(self, rng):
         values = rng.normal(0.0, 0.02, size=64)
         ds = normalize_and_window(values, 16, stride=5)
-        recovered = ds.denormalize(ds.windows)
+        recovered = ds.windows * ds.scale
         for i in range(len(ds)):
             start = i * 5
             np.testing.assert_allclose(recovered[i], values[start:start + 16],

@@ -134,6 +134,13 @@ class TestGradientValidation:
             optim.Adam(beta2=-0.1)
         with pytest.raises(ValueError):
             optim.Adam(eps=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                optim.Adam(lr=bad)
+            with pytest.raises(ValueError):
+                optim.Adam(eps=bad)
+            with pytest.raises(ValueError):
+                optim.SGD(lr=bad)
 
 
 class TestSerialization:

@@ -70,6 +70,16 @@ def brute_ks(a, b):
     return best
 
 
+def searchsorted_ks(a, b):
+    """The straightforward vectorized KS: both empirical CDFs evaluated by
+    binary search at every merged sample point."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
+    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
 def brute_leverage(values, max_lag):
     out = []
     for tau in range(1, max_lag + 1):
@@ -186,6 +196,13 @@ class TestMoments:
         assert m.excess_kurtosis == pytest.approx(
             float(scipy.stats.kurtosis(values, fisher=True, bias=True)), rel=1e-10)
 
+    def test_matches_brute_force_heavy_tails(self, rng):
+        values = rng.standard_t(3, size=2000) * 0.01
+        skew, exkurt = brute_moments(values)
+        m = moments(values)
+        assert m.skewness == pytest.approx(skew, abs=ORACLE_TOL)
+        assert m.excess_kurtosis == pytest.approx(exkurt, abs=ORACLE_TOL)
+
     def test_needs_four_observations(self):
         with pytest.raises(InsufficientDataError):
             moments(np.array([1.0, 2.0, 3.0]))
@@ -301,6 +318,24 @@ class TestKolmogorovSmirnov:
         with pytest.raises(InsufficientDataError):
             ks_statistic(np.array([]), np.array([1.0]))
 
+    # few distinct values, so ties within and across the samples are common
+    tied_samples = st.lists(st.integers(-4, 4).map(lambda k: k / 4.0),
+                            min_size=1, max_size=60)
+
+    @given(tied_samples, tied_samples)
+    @settings(max_examples=300)
+    def test_equals_searchsorted_formula_exactly(self, a, b):
+        a, b = np.array(a), np.array(b)
+        assert ks_statistic(a, b) == searchsorted_ks(a, b)
+        assert ks_statistic(a, a.copy()) == searchsorted_ks(a, a) == 0.0
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+           st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60))
+    @settings(max_examples=200)
+    def test_equals_searchsorted_formula_on_floats(self, a, b):
+        a, b = np.array(a), np.array(b)
+        assert ks_statistic(a, b) == searchsorted_ks(a, b)
+
 
 class TestWasserstein:
     def test_identical_samples_give_zero(self, rng):
@@ -353,9 +388,19 @@ class TestLeverageEffect:
         with pytest.raises(InsufficientDataError):
             leverage_effect_score(np.arange(11.0), 10)
 
+    def test_matches_brute_force_heavy_tails(self, rng):
+        values = rng.standard_t(3, size=1500) * 0.01
+        np.testing.assert_allclose(leverage_effect_score(values, 10),
+                                   brute_leverage(values, 10), atol=ORACLE_TOL)
+
     def test_constant_series_is_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
             leverage_effect_score(np.ones(50), 2)
+
+    def test_constant_squares_are_degenerate(self):
+        # the returns vary, but their squares (the other side) do not
+        with pytest.raises(DegenerateSeriesError):
+            leverage_effect_score(np.tile([1.0, -1.0], 25), 3)
 
 
 class TestControls:

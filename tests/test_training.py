@@ -74,6 +74,9 @@ class TestTrainConfig:
             dict(g_loss_variant="bce"),
             dict(noise_distribution="cauchy"),
             dict(seed=-1),
+            dict(g_optimizer={"kind": "adam", "lr": -1.0}),
+            dict(d_optimizer={"kind": "sgd", "lr": float("nan")}),
+            dict(g_optimizer={"kind": "rmsprop"}),
         ]
         for overrides in cases:
             cfg = small_config(**overrides)
@@ -292,6 +295,44 @@ class TestCheckpointing:
             state_from_document({**doc, "format": "other"})
         with pytest.raises(CheckpointError, match="version"):
             state_from_document({**doc, "version": 99})
+
+    @pytest.mark.parametrize("field, mutate", [
+        pytest.param(field, mutate, id=field) for field, mutate in (
+            ("rng.diag", lambda doc: doc["rng"].pop("diag")),
+            ("epoch", lambda doc: doc.update(epoch=-1)),
+            ("data_scale", lambda doc: doc.update(data_scale=float("nan"))),
+            ("discriminator", lambda doc: doc["discriminator"]["params"].pop("0.bias")),
+            ("d_optimizer", lambda doc: doc["d_optimizer"]["v"].pop("0.bias")),
+            ("rng", lambda doc: doc.update(rng="x")),
+        )])
+    def test_malformed_field_is_named(self, field, mutate):
+        doc = checkpoint_document(train(small_config(epochs=1), small_dataset()))
+        mutate(doc)
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            state_from_document(doc)
+
+    @pytest.mark.parametrize("bad", [np.inf, -1.0])
+    def test_rejects_bad_running_variance(self, bad):
+        ds = small_dataset(seq_len=32, n_values=120, stride=8)
+        state = train(TrainConfig(gan_variant="dcgan1d", epochs=1, batch_size=4,
+                                  seq_len=32, latent_dim=8, seed=1), ds)
+        idx = next(iter(state.d_net.running))
+        state.d_net.running[idx]["var"][0] = bad
+        with pytest.raises(CheckpointError, match=f"running var of layer {idx}"):
+            state_from_document(checkpoint_document(state))
+
+    def test_rejects_negative_adam_second_moment(self):
+        state = train(small_config(epochs=1), small_dataset())
+        name = next(iter(state.g_opt.v))
+        state.g_opt.v[name].flat[0] = -1.0
+        with pytest.raises(CheckpointError, match=r"Adam v\[.*negative entries"):
+            state_from_document(checkpoint_document(state))
+
+    def test_fresh_adam_needs_no_moments(self):
+        state = train(small_config(epochs=1), small_dataset())
+        doc = checkpoint_document(state)
+        doc["g_optimizer"].update(t=0, m={}, v={})
+        assert state_from_document(doc).g_opt.t == 0
 
     def test_checkpoint_hook_schedule(self):
         epochs_seen = []
