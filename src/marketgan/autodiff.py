@@ -761,37 +761,91 @@ def _conv1d_kgrad(x: Tensor, gout: Tensor, stride: int, padding: int, k: int) ->
 
 
 # ---------------------------------------------------------------------
-# batch normalization (composed from primitives so it stays differentiable)
+# batch normalization
+#
+# Training-mode batch norm is one recorded op whose backward is the closed
+# form of Ioffe & Szegedy (2015), written with the ops above so it can be
+# differentiated again. Inference mode is a plain affine map of constants.
 # ---------------------------------------------------------------------
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
-    """Normalize a 2-D batch [B,F] per feature using batch statistics.
+def _feature_layout(x: Tensor, op: str):
+    """Reduction axes and the broadcast shape of per-feature constants for
+    [B,F] or [B,C,L] input: statistics are taken over every axis but 1."""
+    if x.ndim == 2:
+        return (0,), (1, x.shape[1])
+    if x.ndim == 3:
+        return (0, 2), (1, x.shape[1], 1)
+    raise ShapeError(f"{op} expects a [batch, features] or [batch, channels, length] "
+                     f"input, got {x.shape}")
 
-    Returns (out, batch_mean, batch_var) where the statistics are plain
-    numpy arrays (biased variance), for the caller's running estimates.
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
+    """Normalize [B,F] per feature, or [B,C,L] per channel over batch and
+    length, with batch statistics: out = (x - mean) / sqrt(var + eps) * gamma
+    + beta, where gamma and beta have one entry per feature.
+
+    Returns (out, batch_mean, batch_var); the statistics are flat numpy
+    arrays (biased variance) for the caller's running estimates. ``out`` is
+    a single recorded op. Its backward is the closed form
+    dx = gamma * inv / n * (n g - sum(g) - xhat * sum(g xhat)) with
+    inv = 1/sqrt(var + eps), xhat = (x - mean) * inv and n values per
+    feature. A first-order sweep reads xhat and inv from the forward pass;
+    a recording sweep (create_graph) rebuilds them from x with module ops,
+    so double backward is exact.
     """
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"batch_norm expects a 2-D [batch, features] input, got {x.shape}")
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    axes, bshape = _feature_layout(x, "batch_norm")
     if x.shape[0] < 2:
         raise ShapeError(f"batch_norm needs a batch of at least 2, got {x.shape[0]}")
-    mean = tmean(x, axis=0, keepdims=True)
-    centered = sub(x, mean)
-    var = tmean(mul(centered, centered), axis=0, keepdims=True)
-    inv = div(1.0, tsqrt(add(var, eps)))
-    out = add(mul(mul(centered, inv), gamma), beta)
-    return out, mean.data.reshape(-1).copy(), var.data.reshape(-1).copy()
+    features = x.shape[1]
+    if gamma.size != features or beta.size != features:
+        raise ShapeError(f"batch_norm: gamma {gamma.shape} and beta {beta.shape} need "
+                         f"{features} entries")
+    n = x.size // features
+    scale = 1.0 / n
+    mean = x.data.sum(axis=axes, keepdims=True) * scale
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) * scale
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gamma.data.reshape(bshape) + beta.data.reshape(bshape)
+
+    def backward_fn(g, need):
+        if _GRAD_ENABLED:
+            # recording: rebuild the statistics from x so they are on the graph
+            c = sub(x, mul(tsum(x, axis=axes, keepdims=True), scale))
+            var_t = mul(tsum(mul(c, c), axis=axes, keepdims=True), scale)
+            inv_t = div(1.0, tsqrt(add(var_t, eps)))
+            xhat_t = mul(c, inv_t)
+        else:
+            inv_t, xhat_t = Tensor(inv), Tensor(xhat)
+        g_xhat = tsum(mul(g, xhat_t), axis=axes, keepdims=True) if need[0] or need[1] else None
+        g_sum = tsum(g, axis=axes, keepdims=True) if need[0] or need[2] else None
+        gx = None
+        if need[0]:
+            coef = mul(reshape(gamma, bshape), mul(inv_t, scale))
+            gx = mul(coef, sub(sub(mul(g, float(n)), g_sum), mul(xhat_t, g_xhat)))
+        gg = reshape(g_xhat, gamma.shape) if need[1] else None
+        gb = reshape(g_sum, beta.shape) if need[2] else None
+        return gx, gg, gb
+
+    y = _record("batch_norm", out, (x, gamma, beta), backward_fn)
+    return y, mean.reshape(-1), var.reshape(-1)
 
 
 def batch_norm_inference(x: Tensor, gamma: Tensor, beta: Tensor,
                          running_mean: np.ndarray, running_var: np.ndarray,
                          eps: float = 1e-5) -> Tensor:
-    """Affine normalization with frozen statistics. The running mean and
-    variance are constants; gradients flow to x, gamma, and beta."""
+    """Affine normalization of [B,F] or [B,C,L] input with frozen
+    per-feature statistics. The running mean and variance are constants;
+    gradients flow to x, gamma, and beta."""
     x = _as_tensor(x)
-    inv = Tensor(1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps))
-    centered = sub(x, Tensor(np.asarray(running_mean, dtype=np.float64)))
-    return add(mul(centered, mul(_as_tensor(gamma), inv)), _as_tensor(beta))
+    _, bshape = _feature_layout(x, "batch_norm_inference")
+    inv = Tensor((1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps))
+                 .reshape(bshape))
+    centered = sub(x, Tensor(np.asarray(running_mean, dtype=np.float64).reshape(bshape)))
+    gamma_b = reshape(_as_tensor(gamma), bshape)
+    return add(mul(centered, mul(gamma_b, inv)), reshape(_as_tensor(beta), bshape))
 
 
 # ---------------------------------------------------------------------

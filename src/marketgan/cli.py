@@ -115,6 +115,16 @@ def _write_manifest(out: str, command: str, config: dict, seed: int,
 # train
 # ----------------------------------------------------------------------
 
+def _window_stride(value) -> int:
+    try:
+        stride = training._whole_number("window_stride", value)
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, f"bad training config: {exc}") from exc
+    if stride < 1:
+        raise CliError(EXIT_CONFIG, f"window_stride must be >= 1, got {stride}")
+    return stride
+
+
 def _merged_train_config(args) -> tuple[TrainConfig, str, int]:
     """Config file first, flags override. Returns (config, data path, stride)."""
     flat = _load_config_file(args.config) if args.config else {}
@@ -135,11 +145,10 @@ def _merged_train_config(args) -> tuple[TrainConfig, str, int]:
         if value is not None:
             flat[key] = value
     data = flat.pop("data", None)
-    stride = int(flat.pop("window_stride", 1))
+    stride = flat.pop("window_stride", 1)
     if data is None:
         raise CliError(EXIT_CONFIG, "no input data: pass --data or a config 'data' key")
-    if stride < 1:
-        raise CliError(EXIT_CONFIG, f"window_stride must be >= 1, got {stride}")
+    stride = _window_stride(stride)
     try:
         config = TrainConfig.from_flat(flat)
         config.validate()
@@ -175,9 +184,7 @@ def cmd_train(args) -> int:
         stride = args.window_stride
         if stride is None:
             stride = flat.get("window_stride", 1)
-        stride = int(stride)
-        if stride < 1:
-            raise CliError(EXIT_CONFIG, f"window_stride must be >= 1, got {stride}")
+        stride = _window_stride(stride)
         if data_path is None:
             raise CliError(EXIT_CONFIG, "no input data: pass --data or a config 'data' key")
     else:

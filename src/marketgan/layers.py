@@ -337,7 +337,7 @@ class Network:
                 x = ad.conv1d_transpose(x, k, layer.stride, layer.padding)
                 x = x + ad.reshape(b, (1, layer.out_channels, 1))
             elif layer.kind == "batch_norm":
-                x = self._batch_norm(i, layer, x, mode, update_stats)
+                x = self._batch_norm(i, x, mode, update_stats)
             elif layer.kind == "activation":
                 x = ad.activation(x, layer.fn, layer.alpha)
             elif layer.kind == "self_attention":
@@ -346,30 +346,18 @@ class Network:
                 x = ad.reshape(x, (batch,) + layer.shape)
         return x
 
-    def _batch_norm(self, i, layer, x, mode, update_stats):
+    def _batch_norm(self, i, x, mode, update_stats):
+        # [B, F] per feature, [B, C, L] per channel over batch and length
         gamma = self.params[f"{i}.gamma"]
         beta = self.params[f"{i}.beta"]
         stats = self.running[i]
-        if x.ndim == 3:
-            # normalize per channel over batch and length
-            b, c, length = x.shape
-            flat = ad.reshape(ad.transpose_last(x), (b * length, c))
-            if mode == "train":
-                out, m, v = ad.batch_norm(flat, gamma, beta, BN_EPS)
-                if update_stats:
-                    stats["mean"] = BN_MOMENTUM * stats["mean"] + (1 - BN_MOMENTUM) * m
-                    stats["var"] = BN_MOMENTUM * stats["var"] + (1 - BN_MOMENTUM) * v
-            else:
-                out = ad.batch_norm_inference(flat, gamma, beta,
-                                              stats["mean"], stats["var"], BN_EPS)
-            return ad.transpose_last(ad.reshape(out, (b, length, c)))
-        if mode == "train":
-            out, m, v = ad.batch_norm(x, gamma, beta, BN_EPS)
-            if update_stats:
-                stats["mean"] = BN_MOMENTUM * stats["mean"] + (1 - BN_MOMENTUM) * m
-                stats["var"] = BN_MOMENTUM * stats["var"] + (1 - BN_MOMENTUM) * v
-            return out
-        return ad.batch_norm_inference(x, gamma, beta, stats["mean"], stats["var"], BN_EPS)
+        if mode == "eval":
+            return ad.batch_norm_inference(x, gamma, beta, stats["mean"], stats["var"], BN_EPS)
+        out, m, v = ad.batch_norm(x, gamma, beta, BN_EPS)
+        if update_stats:
+            stats["mean"] = BN_MOMENTUM * stats["mean"] + (1 - BN_MOMENTUM) * m
+            stats["var"] = BN_MOMENTUM * stats["var"] + (1 - BN_MOMENTUM) * v
+        return out
 
     def _attention(self, i, x):
         wq = self.params[f"{i}.wq"]

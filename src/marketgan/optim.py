@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .autodiff import NonFiniteError
+from .layers import _b64, _unb64
 
 
 class GradientError(RuntimeError):
@@ -86,7 +87,6 @@ class Adam:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> dict:
-        from .layers import _b64
         return {
             "kind": "adam",
             "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
@@ -96,7 +96,6 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict):
-        from .layers import _unb64
         self.lr = float(state["lr"])
         self.beta1 = float(state["beta1"])
         self.beta2 = float(state["beta2"])

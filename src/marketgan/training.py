@@ -145,18 +145,40 @@ class TrainConfig:
         for key in ("epochs", "batch_size", "latent_dim", "seq_len", "seed",
                     "checkpoint_interval"):
             if key in flat:
-                setattr(cfg, key, int(flat[key]))
+                setattr(cfg, key, _whole_number(key, flat[key]))
         if "n_critic" in flat and flat["n_critic"] is not None:
-            cfg.n_critic = int(flat["n_critic"])
+            cfg.n_critic = _whole_number("n_critic", flat["n_critic"])
         if "gp_lambda" in flat:
-            cfg.gp_lambda = float(flat["gp_lambda"])
+            cfg.gp_lambda = _real_number("gp_lambda", flat["gp_lambda"])
         for prefix, target in (("g", cfg.g_optimizer), ("d", cfg.d_optimizer)):
             if f"{prefix}_optimizer" in flat:
                 target["kind"] = str(flat[f"{prefix}_optimizer"])
             for part in ("lr", "beta1", "beta2", "eps"):
-                if f"{prefix}_{part}" in flat:
-                    target[part] = float(flat[f"{prefix}_{part}"])
+                key = f"{prefix}_{part}"
+                if key in flat:
+                    target[part] = _real_number(key, flat[key])
         return cfg
+
+
+def _whole_number(key: str, value) -> int:
+    """A config value as an int. Bools and numbers with a fractional part
+    (or non-finite ones) raise a ValueError naming ``key`` instead of being
+    truncated; whole numbers such as 3 or 3.0 pass."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} must be a whole number, got {value!r}") from exc
+
+
+def _real_number(key: str, value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} must be a number, got {value!r}") from exc
 
 
 @dataclass
@@ -365,17 +387,15 @@ def _g_update(state, wasserstein, epoch, record_hook):
 
 def _sample_eval(state, n_series: int, rng) -> np.ndarray:
     """Generator output in eval mode using the given RNG for noise."""
-    out = np.empty((n_series, state.config.seq_len))
+    config = state.config
+    out = np.empty((n_series, config.seq_len))
+    # NoiseSource draws from the given Generator itself, advancing its stream
+    noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, rng)
     done = 0
     with ad.no_grad():
         while done < n_series:
             take = min(256, n_series - done)
-            if state.config.noise_distribution == "uniform":
-                z = rng.uniform(-1.0, 1.0, size=(take, state.config.latent_dim))
-            else:
-                z = rng.standard_normal(size=(take, state.config.latent_dim))
-            out[done: done + take] = state.g_net.forward(
-                Tensor(z), mode="eval").data
+            out[done: done + take] = state.g_net.forward(noise.sample(take), mode="eval").data
             done += take
     return out
 

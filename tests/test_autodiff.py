@@ -504,25 +504,32 @@ def test_conv1d_rejects_bad_arguments(rng):
         ad.conv1d(x, ad.Tensor(rng.standard_normal((3, 2, 20))))
 
 
-def test_batch_norm_normalizes_and_differentiates(rng):
-    x = rng.standard_normal((16, 5)) * 3.0 + 2.0
+@pytest.mark.parametrize("shape", [(16, 5), (6, 5, 4)], ids=["2d", "3d"])
+def test_batch_norm_normalizes_and_differentiates(rng, shape):
+    x = rng.standard_normal(shape) * 3.0 + 2.0
+    axes = (0,) if len(shape) == 2 else (0, 2)
     gamma = np.ones(5)
     beta = np.zeros(5)
     out, mean, var = ad.batch_norm(ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta))
-    np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.data.std(axis=0), 1.0, atol=1e-4)
-    np.testing.assert_allclose(mean, x.mean(axis=0))
-    np.testing.assert_allclose(var, x.var(axis=0))
+    np.testing.assert_allclose(out.data.mean(axis=axes), 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.data.std(axis=axes), 1.0, atol=1e-4)
+    np.testing.assert_allclose(mean, x.mean(axis=axes))
+    np.testing.assert_allclose(var, x.var(axis=axes))
+
+    # weighted, with gamma and beta off 1 and 0, so the x gradient is not ~0
+    small = x[:3] if len(shape) == 3 else x[:6]
+    weights = ad.Tensor(rng.uniform(0.5, 1.5, small.shape))
 
     def build(tx, tg, tb):
         o, _, _ = ad.batch_norm(tx, tg, tb)
-        return (o ** 2).sum()
+        return (o ** 2 * weights).sum()
 
-    check_gradients(build, [x[:6], gamma, beta])
+    check_gradients(build, [small, rng.uniform(0.5, 1.5, 5), rng.normal(0.0, 0.3, 5)])
 
 
-def test_batch_norm_inference_uses_running_stats(rng):
-    x = rng.standard_normal((4, 3))
+@pytest.mark.parametrize("shape", [(4, 3), (4, 3, 5)], ids=["2d", "3d"])
+def test_batch_norm_inference_uses_running_stats(rng, shape):
+    x = rng.standard_normal(shape)
     running_mean = np.array([0.5, -0.2, 0.0])
     running_var = np.array([1.5, 0.7, 2.0])
     gamma = np.array([1.0, 2.0, 0.5])
@@ -530,8 +537,99 @@ def test_batch_norm_inference_uses_running_stats(rng):
     with ad.no_grad():
         out = ad.batch_norm_inference(ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta),
                                       running_mean, running_var)
-    expected = (x - running_mean) / np.sqrt(running_var + 1e-5) * gamma + beta
+    per_feature = (1, 3) if len(shape) == 2 else (1, 3, 1)
+
+    def col(v):
+        return v.reshape(per_feature)
+
+    expected = (x - col(running_mean)) / np.sqrt(col(running_var) + 1e-5) * col(gamma) \
+        + col(beta)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+def _composite_batch_norm(x, gamma, beta, eps=1e-5):
+    """The batch norm formula composed from primitives, as a reference."""
+    axes = (0,) if x.ndim == 2 else (0, 2)
+    per_feature = (1, x.shape[1]) if x.ndim == 2 else (1, x.shape[1], 1)
+    mean = ad.tmean(x, axis=axes, keepdims=True)
+    centered = ad.sub(x, mean)
+    var = ad.tmean(ad.mul(centered, centered), axis=axes, keepdims=True)
+    inv = ad.div(1.0, ad.tsqrt(ad.add(var, eps)))
+    out = ad.add(ad.mul(ad.mul(centered, inv), ad.reshape(gamma, per_feature)),
+                 ad.reshape(beta, per_feature))
+    return out, mean.data.reshape(-1), var.data.reshape(-1)
+
+
+@st.composite
+def _batch_norm_inputs(draw):
+    batch = draw(st.integers(2, 8))
+    features = draw(st.integers(1, 6))
+    length = draw(st.one_of(st.none(), st.integers(1, 9)))
+    shape = (batch, features) if length is None else (batch, features, length)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    # per-feature offsets and spreads vary, but no feature is near-constant
+    x = (rng.normal(0.0, 2.0, (1, features) + shape[2:])
+         + rng.uniform(0.5, 3.0, (1, features) + (1,) * (len(shape) - 2))
+         * rng.standard_normal(shape))
+    gamma = rng.uniform(0.5, 1.5, features)
+    beta = rng.normal(0.0, 0.3, features)
+    weights = rng.uniform(0.5, 1.5, shape)
+    return x, gamma, beta, weights
+
+
+def _batch_norm_derivatives(fn, x_data, gamma_data, beta_data, weights):
+    """Output, statistics, first-order gradients (via grad and backward) and
+    double backward of one batch norm implementation."""
+    x, gamma, beta = (ad.Tensor(a, requires_grad=True) for a in (x_data, gamma_data, beta_data))
+    out, mean, var = fn(x, gamma, beta)
+    gx, gg, gb = ad.grad((out * ad.Tensor(weights)).sum(), [x, gamma, beta],
+                         create_graph=True)
+    hx, hg = ad.grad((gx * gx).sum(), [x, gamma])
+    x2, gamma2, beta2 = (ad.Tensor(a, requires_grad=True) for a in (x_data, gamma_data, beta_data))
+    out2, _, _ = fn(x2, gamma2, beta2)
+    ad.backward((out2 * ad.Tensor(weights)).sum())
+    return {"out": out.data, "mean": mean, "var": var, "gx": gx.data, "gg": gg.data,
+            "gb": gb.data, "hx": hx.data, "hg": hg.data, "x.grad": x2.grad,
+            "gamma.grad": gamma2.grad, "beta.grad": beta2.grad}
+
+
+class TestFusedBatchNorm:
+    @settings(max_examples=60, deadline=None)
+    @given(_batch_norm_inputs())
+    def test_matches_composite_formula(self, inputs):
+        _, gamma, _, weights = inputs
+        fused = _batch_norm_derivatives(ad.batch_norm, *inputs)
+        composite = _batch_norm_derivatives(_composite_batch_norm, *inputs)
+        # dx is what is left of gamma * inv * g after removing its parts along
+        # 1 and xhat; little may be left (with two values per feature only eps
+        # leaves anything), so it and the second derivatives built on it are
+        # compared relative to the size of the terms that cancel
+        inv = (1.0 / np.sqrt(composite["var"] + 1e-5)).max()
+        term = np.abs(gamma).max() * inv * np.abs(weights).max()
+        scales = {"gx": term, "x.grad": term, "hx": term * term * inv,
+                  "hg": term * term / np.abs(gamma).max()}
+        for name, ref in composite.items():
+            scale = max(np.abs(ref).max(), scales.get(name, 0.0))
+            np.testing.assert_allclose(fused[name], ref, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
+
+    def test_is_one_recorded_op(self, rng):
+        x = ad.Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
+        out, _, _ = ad.batch_norm(x, ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)))
+        assert out._node.op == "batch_norm"
+        assert out._node.inputs[0] is x
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 3, 5), (6,), (2, 3, 4, 5)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ad.ShapeError):
+            ad.batch_norm(ad.Tensor(np.zeros(shape)), ad.Tensor(np.ones(3)),
+                          ad.Tensor(np.zeros(3)))
+
+    def test_rejects_parameter_size_mismatch(self):
+        with pytest.raises(ad.ShapeError):
+            ad.batch_norm(ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.ones(2)),
+                          ad.Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------

@@ -123,7 +123,7 @@ class TestTrainCommand:
         second_rows = (second / "losses.csv").read_text().count("\n")
         assert second_rows - 1 == (straight_rows - 1) // 2
 
-    def test_exit_2_on_bad_config(self, work, tmp_path):
+    def test_exit_2_on_bad_config(self, work, tmp_path, capsys):
         base = ["train", "--data", str(work["data"]), "--out", str(tmp_path)]
         assert main(base + ["--epochs", "0"]) == 2
         assert main(base + ["--variant", "mlp_gan", "--n-critic", "3"]) == 2
@@ -133,6 +133,14 @@ class TestTrainCommand:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(f'{{"g_lr": {lr}}}')
             assert main(base + ["--config", str(cfg_path)]) == 2
+        # numbers that are not whole are refused, not truncated
+        for key, value in (("epochs", "2.7"), ("batch_size", "true"),
+                           ("window_stride", "1.5"), ("epochs", "Infinity")):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(f'{{"{key}": {value}}}')
+            capsys.readouterr()
+            assert main(base + ["--config", str(cfg_path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_exit_2_on_unknown_config_key(self, tmp_path, work):
         cfg_path = tmp_path / "cfg.json"

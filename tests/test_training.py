@@ -108,6 +108,20 @@ class TestTrainConfig:
         assert cfg.d_optimizer["beta1"] == 0.0
         assert cfg.d_optimizer["kind"] == "sgd"
 
+    @pytest.mark.parametrize("flat", [{"epochs": 2.7}, {"batch_size": True},
+                                      {"seed": float("inf")}, {"n_critic": 1.5},
+                                      {"latent_dim": "x"}, {"g_lr": True},
+                                      {"gp_lambda": "ten"}])
+    def test_from_flat_rejects_inexact_numbers(self, flat):
+        (key,) = flat
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_flat(flat)
+
+    def test_from_flat_accepts_whole_floats(self):
+        cfg = TrainConfig.from_flat({"epochs": 3.0, "batch_size": 16, "g_lr": 1})
+        assert (cfg.epochs, cfg.batch_size) == (3, 16)
+        assert type(cfg.epochs) is int and cfg.g_optimizer["lr"] == 1.0
+
 
 class TestTrainMechanics:
     def test_record_counts_and_phases(self):
