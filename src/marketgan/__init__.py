@@ -7,6 +7,6 @@ regularities of real return series.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, Tape, backward, grad, no_grad
+from .autodiff import Tensor, backward, grad, no_grad
 
-__all__ = ["Tensor", "Tape", "backward", "grad", "no_grad", "__version__"]
+__all__ = ["Tensor", "backward", "grad", "no_grad", "__version__"]

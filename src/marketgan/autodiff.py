@@ -1,10 +1,21 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-Every operation records a node on an implicit tape. Backward closures are
-written in terms of the ops in this module, so gradients themselves can be
-recorded and differentiated again (needed for gradient penalties). All
-arithmetic is float64; any op that produces a non-finite value raises
-NonFiniteError instead of letting NaN/inf propagate silently.
+Every op on a tensor that requires gradients records a node holding its
+inputs and a backward closure; the nodes reachable from a loss are the
+recording that backward() consumes. Backward closures are written in terms
+of the ops in this module, so gradients themselves can be recorded and
+differentiated again (needed for gradient penalties). All arithmetic is
+float64; any op that produces a non-finite value raises NonFiniteError
+instead of letting NaN/inf propagate silently.
+
+Network layers are fused ops: linear() is a dense layer x @ w.T + b,
+conv1d() and conv1d_transpose() add an optional per-channel bias, and
+batch_norm() normalizes with batch statistics, each as one recorded op.
+Their backward closures ask whether the sweep records: a first-order
+sweep forms the dense-layer and bias gradients (and batch norm's
+statistics) with numpy directly, while a recording sweep (grad with
+create_graph) builds every gradient from the ops above, so it can be
+differentiated again.
 
 The reverse sweep computes only the branches that lead to its targets (the
 tensors grad() was asked about, or the leaves backward() fills): a node
@@ -54,22 +65,6 @@ class no_grad:
         return False
 
 
-class Tape:
-    """Identity of one recording: the nodes created between two backward()
-    calls share a Tape. It holds no reference to them, so an intermediate
-    is freed as soon as no tensor or graph that is still in use needs it."""
-
-
-_ACTIVE_TAPE: Tape | None = None
-
-
-def _active_tape() -> Tape:
-    global _ACTIVE_TAPE
-    if _ACTIVE_TAPE is None:
-        _ACTIVE_TAPE = Tape()
-    return _ACTIVE_TAPE
-
-
 class _Node:
     # The node keeps the id of its output, not the output itself: a tensor
     # and its node referring to each other would be a reference cycle, and
@@ -79,15 +74,14 @@ class _Node:
     # Ops whose gradient reads their own output (exp, sqrt, tanh, sigmoid)
     # hold it through a weak reference for the same reason; the sweep keeps
     # every tensor that receives a gradient alive while its closure runs.
-    __slots__ = ("op", "inputs", "out_id", "backward_fn", "seq", "tape", "consumed")
+    __slots__ = ("op", "inputs", "out_id", "backward_fn", "seq", "consumed")
 
-    def __init__(self, op, inputs, out, backward_fn, tape):
+    def __init__(self, op, inputs, out, backward_fn):
         self.op = op
         self.inputs = inputs
         self.out_id = id(out)
         self.backward_fn = backward_fn
         self.seq = next(_SEQ)
-        self.tape = tape
         self.consumed = False
 
 
@@ -131,10 +125,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def tape(self):
-        return self._node.tape if self._node is not None else None
 
     def item(self) -> float:
         return float(self.data)
@@ -210,9 +200,7 @@ def _record(op: str, out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor
     out.grad = None
     out._node = None
     if requires:
-        tape = _active_tape()
-        node = _Node(op, inputs, out, backward_fn, tape)
-        out._node = node
+        out._node = _Node(op, inputs, out, backward_fn)
     return out
 
 
@@ -465,6 +453,51 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), backward_fn)
 
 
+def _bias_grad(g: Tensor, axes: tuple) -> Tensor:
+    """Gradient of a per-channel bias: g summed over every other axis. A
+    recording sweep (create_graph) builds it with tsum so it can be
+    differentiated again; a first-order sweep uses numpy directly."""
+    if _GRAD_ENABLED:
+        return tsum(g, axis=axes)
+    return Tensor(g.data.sum(axis=axes))
+
+
+def _as_bias(b, channels: int, op: str) -> Tensor:
+    b = _as_tensor(b)
+    if b.shape != (channels,):
+        raise ShapeError(f"{op}: bias {b.shape} needs shape ({channels},)")
+    return b
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x @ w.T + b for x [B,in], w [out,in] and b [out], as one
+    recorded op: the same matmul followed by the same add as the composite
+    ``matmul(x, transpose_last(w)) + b``, bit for bit.
+
+    A first-order sweep forms the gradients with numpy; a recording sweep
+    (create_graph) builds them from module ops, so double backward is exact.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear needs x [batch, in] and w [out, in], got {x.shape} "
+                         f"and {w.shape}")
+    b = _as_bias(b, w.shape[0], "linear")
+    out = x.data @ w.data.T + b.data
+
+    def backward_fn(g, need):
+        if _GRAD_ENABLED:
+            gx = matmul(g, w) if need[0] else None
+            gw = transpose_last(matmul(transpose_last(x), g)) if need[1] else None
+        else:
+            gx = Tensor(g.data @ w.data) if need[0] else None
+            # (x.T @ g).T, not g.T @ x: the two need not agree bit for bit
+            gw = Tensor((x.data.T @ g.data).T) if need[1] else None
+        gb = _bias_grad(g, (0,)) if need[2] else None
+        return gx, gw, gb
+
+    return _record("linear", out, (x, w, b), backward_fn)
+
+
 # ---------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------
@@ -676,8 +709,19 @@ def _conv1d_kgrad_raw(x: np.ndarray, gout: np.ndarray, stride: int, padding: int
     return (g2 @ w2).reshape(c_out, c_in, k)
 
 
-def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation of ``x`` [B,C,L] with kernels ``w`` [O,C,k].
+def _with_bias(out: np.ndarray, inputs: tuple, bias, op: str):
+    """Add an optional per-channel ``bias`` to the [B,C,L] conv output
+    inside the conv's own recorded op; returns (out, inputs)."""
+    if bias is None:
+        return out, inputs
+    bias = _as_bias(bias, out.shape[1], op)
+    return out + bias.data.reshape(1, -1, 1), inputs + (bias,)
+
+
+def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None) -> Tensor:
+    """1-D cross-correlation of ``x`` [B,C,L] with kernels ``w`` [O,C,k],
+    plus ``bias`` [O] per output channel when given.
 
     1-D and 2-D inputs are treated as single-sample convenience forms and
     the output is returned at the matching rank.
@@ -691,22 +735,27 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         )
     k = w3.shape[2]
     length = x3.shape[2]
-    out = _conv1d_raw(x3.data, w3.data, stride, padding)
+    out, inputs = _with_bias(_conv1d_raw(x3.data, w3.data, stride, padding),
+                             (x3, w3), bias, "conv1d")
 
     def backward_fn(g, need):
         gx = None
         if need[0]:
             gx = conv1d_transpose(g, w3, stride, padding, output_length=length)
         gw = _conv1d_kgrad(x3, g, stride, padding, k) if need[1] else None
-        return gx, gw
+        if len(need) == 2:
+            return gx, gw
+        return gx, gw, _bias_grad(g, (0, 2)) if need[2] else None
 
-    y = _record("conv1d", out, (x3, w3), backward_fn)
+    y = _record("conv1d", out, inputs, backward_fn)
     return _demote_conv_output(y, rank)
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-                     output_length: int | None = None) -> Tensor:
-    """Transposed 1-D convolution (the adjoint of conv1d in its input).
+                     output_length: int | None = None,
+                     bias: Tensor | None = None) -> Tensor:
+    """Transposed 1-D convolution (the adjoint of conv1d in its input),
+    plus ``bias`` [C] per output channel when given.
 
     ``x`` is [B,O,L], kernels are [O,C,k], output is [B,C,L_out] with
     L_out = (L-1)*stride - 2*padding + k unless ``output_length`` overrides
@@ -727,14 +776,18 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         out_len = int(output_length)
         if out_len < 1:
             raise ShapeError(f"conv1d_transpose: output_length must be >= 1, got {out_len}")
-    out = _conv1d_transpose_raw(x3.data, w3.data, stride, padding, out_len)
+    out, inputs = _with_bias(_conv1d_transpose_raw(x3.data, w3.data, stride, padding,
+                                                   out_len),
+                             (x3, w3), bias, "conv1d_transpose")
 
     def backward_fn(g, need):
         gx = conv1d(g, w3, stride, padding) if need[0] else None
         gw = _conv1d_kgrad(g, x3, stride, padding, k) if need[1] else None
-        return gx, gw
+        if len(need) == 2:
+            return gx, gw
+        return gx, gw, _bias_grad(g, (0, 2)) if need[2] else None
 
-    y = _record("conv1d_transpose", out, (x3, w3), backward_fn)
+    y = _record("conv1d_transpose", out, inputs, backward_fn)
     return _demote_conv_output(y, rank)
 
 
@@ -917,14 +970,14 @@ def _check_scalar(loss: Tensor):
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss._node is None:
-        raise TapeError("tensor was not recorded on any tape (nothing to differentiate)")
+        raise TapeError("tensor was not produced by a recorded op (nothing to differentiate)")
 
 
 def _is_trainable_leaf(t: Tensor) -> bool:
     return t._node is None and t.requires_grad
 
 
-def backward(loss: Tensor, tape: Tape | None = None):
+def backward(loss: Tensor):
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every leaf tensor
     (one not produced by a recorded op) that requires gradients and was
     used to compute ``loss``. Gradients of intermediate tensors are not
@@ -937,10 +990,7 @@ def backward(loss: Tensor, tape: Tape | None = None):
     them. Consumed nodes drop their inputs and closures, so the arrays the
     recording held are freed as soon as backward returns.
     """
-    global _ACTIVE_TAPE
     _check_scalar(loss)
-    if tape is not None and loss._node.tape is not tape:
-        raise TapeError("loss tensor is not on the given tape")
     nodes, collected = _walk(loss, _is_trainable_leaf, create_graph=False)
     for t, g in collected.values():
         if t._node is not None:
@@ -956,8 +1006,6 @@ def backward(loss: Tensor, tape: Tape | None = None):
         node.consumed = True
         node.inputs = ()
         node.backward_fn = None
-    if _ACTIVE_TAPE is not None and loss._node.tape is _ACTIVE_TAPE:
-        _ACTIVE_TAPE = None
 
 
 def grad(output: Tensor, inputs, create_graph: bool = False):

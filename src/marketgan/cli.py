@@ -24,7 +24,7 @@ from . import stylized_facts as sf
 from . import training
 from .autodiff import NonFiniteError
 from .market_data import (DataError, atomic_write_text, load_return_series,
-                          normalize_and_window, returns_to_prices)
+                          normalize_and_window, returns_to_prices, write_returns_csv)
 from .stylized_facts import DegenerateSeriesError, FactThresholds
 from .training import (CheckpointError, TrainConfig, TrainingDivergedError,
                        load_checkpoint, save_checkpoint)
@@ -263,10 +263,8 @@ def cmd_generate(args) -> int:
         raise CliError(EXIT_NUMERIC, f"generator produced non-finite output: {exc}") from exc
     values = windows.reshape(-1)[: args.n] * state.data_scale
 
-    lines = ["index,log_return"]
-    lines.extend(f"{i},{_num(v)}" for i, v in enumerate(values))
     returns_path = os.path.join(out, "generated.csv")
-    atomic_write_text(returns_path, "\n".join(lines) + "\n")
+    write_returns_csv(returns_path, values)
     artifacts = {"returns": os.path.basename(returns_path)}
 
     if args.prices:
@@ -418,14 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH",
-                        help="flat JSON config file; flags override its values")
-    shared.add_argument("--seed", type=int, metavar="U64", help="master RNG seed")
     shared.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current directory)")
 
     p = sub.add_parser("train", parents=[shared],
                        help="train a GAN variant on a price or return CSV")
+    p.add_argument("--config", metavar="PATH",
+                   help="flat JSON config file; flags override its values")
+    p.add_argument("--seed", type=int, metavar="U64", help="master RNG seed")
     p.add_argument("--data", metavar="PATH",
                    help="input CSV: date,adjusted_close prices or index,log_return returns")
     p.add_argument("--variant", choices=("mlp_gan", "dcgan1d", "wgan_gp", "sagan1d"),
@@ -448,6 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[shared],
                        help="sample log returns from a trained checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="PATH")
+    p.add_argument("--seed", type=int, metavar="U64", help="noise seed (default 0)")
     p.add_argument("--n", type=int, required=True, help="number of return values")
     p.add_argument("--prices", action="store_true",
                    help="also write a price path (needs --p0)")

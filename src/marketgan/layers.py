@@ -323,19 +323,13 @@ class Network:
         batch = x.shape[0]
         for i, layer in enumerate(self.spec.layers):
             if layer.kind == "dense":
-                w = self.params[f"{i}.weight"]
-                b = self.params[f"{i}.bias"]
-                x = ad.matmul(x, ad.transpose_last(w)) + b
+                x = ad.linear(x, self.params[f"{i}.weight"], self.params[f"{i}.bias"])
             elif layer.kind == "conv1d":
-                k = self.params[f"{i}.kernel"]
-                b = self.params[f"{i}.bias"]
-                x = ad.conv1d(x, k, layer.stride, layer.padding)
-                x = x + ad.reshape(b, (1, layer.out_channels, 1))
+                x = ad.conv1d(x, self.params[f"{i}.kernel"], layer.stride, layer.padding,
+                              bias=self.params[f"{i}.bias"])
             elif layer.kind == "conv1d_transpose":
-                k = self.params[f"{i}.kernel"]
-                b = self.params[f"{i}.bias"]
-                x = ad.conv1d_transpose(x, k, layer.stride, layer.padding)
-                x = x + ad.reshape(b, (1, layer.out_channels, 1))
+                x = ad.conv1d_transpose(x, self.params[f"{i}.kernel"], layer.stride,
+                                        layer.padding, bias=self.params[f"{i}.bias"])
             elif layer.kind == "batch_norm":
                 x = self._batch_norm(i, x, mode, update_stats)
             elif layer.kind == "activation":

@@ -219,11 +219,12 @@ def returns_to_prices(r, p0: float) -> np.ndarray:
 
 
 def write_returns_csv(path, values: np.ndarray):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(RETURN_HEADER)
-        for i, v in enumerate(np.asarray(values, dtype=np.float64)):
-            writer.writerow([i, repr(float(v))])
+    """Write an `index,log_return` CSV atomically, each value as its
+    shortest round-tripping decimal text."""
+    lines = [",".join(RETURN_HEADER)]
+    lines.extend(f"{i},{float(v)!r}"
+                 for i, v in enumerate(np.asarray(values, dtype=np.float64)))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_returns_csv(path) -> ReturnSeries:

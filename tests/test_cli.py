@@ -399,3 +399,16 @@ class TestTopLevel:
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
         assert main(["train", "--help"]) == 0
+
+    @pytest.mark.parametrize("command,flag", [
+        ("evaluate", "--seed"), ("report", "--seed"),
+        ("generate", "--config"), ("evaluate", "--config"), ("report", "--config"),
+    ])
+    def test_flags_a_command_would_ignore_exit_2(self, work, tmp_path, command, flag):
+        # --config is read by train only, --seed by train and generate
+        args = {"generate": ["--checkpoint", str(work["ckpt"]), "--n", "4"],
+                "evaluate": ["--candidate", str(work["big_a"]),
+                             "--reference", str(work["big_b"])],
+                "report": []}[command]
+        value = "3" if flag == "--seed" else str(tmp_path / "cfg.json")
+        assert main([command, "--out", str(tmp_path)] + args + [flag, value]) == 2

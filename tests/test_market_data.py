@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, log-return transforms, windowing and inversion."""
 
+import csv
 import os
 import tempfile
 
@@ -284,6 +285,37 @@ class TestReturnsCsvRoundtrip:
         assert b"\r" not in raw
         assert raw.split(b"\n")[0] == b"index,log_return"
         assert raw.split(b"\n")[1] == b"0,0.5"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+    def test_bytes_match_csv_writer(self, values):
+        # the text the csv module writes for the same rows, byte for byte
+        with tempfile.TemporaryDirectory() as tmp:
+            ref = os.path.join(tmp, "ref.csv")
+            with open(ref, "w", newline="", encoding="utf-8") as f:
+                writer = csv.writer(f, lineterminator="\n")
+                writer.writerow(("index", "log_return"))
+                for i, v in enumerate(values):
+                    writer.writerow([i, repr(float(v))])
+            path = os.path.join(tmp, "returns.csv")
+            write_returns_csv(path, np.array(values, dtype=np.float64))
+            with open(path, "rb") as got, open(ref, "rb") as want:
+                assert got.read() == want.read()
+
+    def test_write_is_atomic(self, tmp_path, monkeypatch):
+        # a failed write leaves the old file in place and no temp file behind
+        path = tmp_path / "returns.csv"
+        write_returns_csv(path, np.array([0.5]))
+        before = path.read_bytes()
+
+        def fail(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_returns_csv(path, np.array([0.25, 0.75]))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["returns.csv"]
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = make_csv(tmp_path, "a,b\n0,0.1\n", name="r.csv")
