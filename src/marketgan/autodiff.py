@@ -8,14 +8,12 @@ differentiated again (needed for gradient penalties). All arithmetic is
 float64; any op that produces a non-finite value raises NonFiniteError
 instead of letting NaN/inf propagate silently.
 
-Network layers are fused ops: linear() is a dense layer x @ w.T + b,
-conv1d() and conv1d_transpose() add an optional per-channel bias, and
-batch_norm() normalizes with batch statistics, each as one recorded op.
-Their backward closures ask whether the sweep records: a first-order
-sweep forms the dense-layer and bias gradients (and batch norm's
-statistics) with numpy directly, while a recording sweep (grad with
-create_graph) builds every gradient from the ops above, so it can be
-differentiated again.
+Two network layers are fused ops: linear() is a dense layer x @ w.T + b
+and batch_norm() normalizes with batch statistics, each as one recorded
+op. Their backward closures ask whether the sweep records: a first-order
+sweep forms the dense-layer gradients (and batch norm's statistics) with
+numpy directly, while a recording sweep (grad with create_graph) builds
+every gradient from the ops above, so it can be differentiated again.
 
 The reverse sweep computes only the branches that lead to its targets (the
 tensors grad() was asked about, or the leaves backward() fills): a node
@@ -453,22 +451,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), backward_fn)
 
 
-def _bias_grad(g: Tensor, axes: tuple) -> Tensor:
-    """Gradient of a per-channel bias: g summed over every other axis. A
-    recording sweep (create_graph) builds it with tsum so it can be
-    differentiated again; a first-order sweep uses numpy directly."""
-    if _GRAD_ENABLED:
-        return tsum(g, axis=axes)
-    return Tensor(g.data.sum(axis=axes))
-
-
-def _as_bias(b, channels: int, op: str) -> Tensor:
-    b = _as_tensor(b)
-    if b.shape != (channels,):
-        raise ShapeError(f"{op}: bias {b.shape} needs shape ({channels},)")
-    return b
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer x @ w.T + b for x [B,in], w [out,in] and b [out], as one
     recorded op: the same matmul followed by the same add as the composite
@@ -481,18 +463,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [batch, in] and w [out, in], got {x.shape} "
                          f"and {w.shape}")
-    b = _as_bias(b, w.shape[0], "linear")
+    b = _as_tensor(b)
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"linear: bias {b.shape} needs shape ({w.shape[0]},)")
     out = x.data @ w.data.T + b.data
 
     def backward_fn(g, need):
         if _GRAD_ENABLED:
             gx = matmul(g, w) if need[0] else None
             gw = transpose_last(matmul(transpose_last(x), g)) if need[1] else None
+            gb = tsum(g, axis=(0,)) if need[2] else None
         else:
             gx = Tensor(g.data @ w.data) if need[0] else None
             # (x.T @ g).T, not g.T @ x: the two need not agree bit for bit
             gw = Tensor((x.data.T @ g.data).T) if need[1] else None
-        gb = _bias_grad(g, (0,)) if need[2] else None
+            gb = Tensor(g.data.sum(axis=(0,))) if need[2] else None
         return gx, gw, gb
 
     return _record("linear", out, (x, w, b), backward_fn)
@@ -709,19 +694,8 @@ def _conv1d_kgrad_raw(x: np.ndarray, gout: np.ndarray, stride: int, padding: int
     return (g2 @ w2).reshape(c_out, c_in, k)
 
 
-def _with_bias(out: np.ndarray, inputs: tuple, bias, op: str):
-    """Add an optional per-channel ``bias`` to the [B,C,L] conv output
-    inside the conv's own recorded op; returns (out, inputs)."""
-    if bias is None:
-        return out, inputs
-    bias = _as_bias(bias, out.shape[1], op)
-    return out + bias.data.reshape(1, -1, 1), inputs + (bias,)
-
-
-def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-           bias: Tensor | None = None) -> Tensor:
-    """1-D cross-correlation of ``x`` [B,C,L] with kernels ``w`` [O,C,k],
-    plus ``bias`` [O] per output channel when given.
+def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """1-D cross-correlation of ``x`` [B,C,L] with kernels ``w`` [O,C,k].
 
     1-D and 2-D inputs are treated as single-sample convenience forms and
     the output is returned at the matching rank.
@@ -735,27 +709,22 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         )
     k = w3.shape[2]
     length = x3.shape[2]
-    out, inputs = _with_bias(_conv1d_raw(x3.data, w3.data, stride, padding),
-                             (x3, w3), bias, "conv1d")
+    out = _conv1d_raw(x3.data, w3.data, stride, padding)
 
     def backward_fn(g, need):
         gx = None
         if need[0]:
             gx = conv1d_transpose(g, w3, stride, padding, output_length=length)
         gw = _conv1d_kgrad(x3, g, stride, padding, k) if need[1] else None
-        if len(need) == 2:
-            return gx, gw
-        return gx, gw, _bias_grad(g, (0, 2)) if need[2] else None
+        return gx, gw
 
-    y = _record("conv1d", out, inputs, backward_fn)
+    y = _record("conv1d", out, (x3, w3), backward_fn)
     return _demote_conv_output(y, rank)
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-                     output_length: int | None = None,
-                     bias: Tensor | None = None) -> Tensor:
-    """Transposed 1-D convolution (the adjoint of conv1d in its input),
-    plus ``bias`` [C] per output channel when given.
+                     output_length: int | None = None) -> Tensor:
+    """Transposed 1-D convolution (the adjoint of conv1d in its input).
 
     ``x`` is [B,O,L], kernels are [O,C,k], output is [B,C,L_out] with
     L_out = (L-1)*stride - 2*padding + k unless ``output_length`` overrides
@@ -776,18 +745,14 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         out_len = int(output_length)
         if out_len < 1:
             raise ShapeError(f"conv1d_transpose: output_length must be >= 1, got {out_len}")
-    out, inputs = _with_bias(_conv1d_transpose_raw(x3.data, w3.data, stride, padding,
-                                                   out_len),
-                             (x3, w3), bias, "conv1d_transpose")
+    out = _conv1d_transpose_raw(x3.data, w3.data, stride, padding, out_len)
 
     def backward_fn(g, need):
         gx = conv1d(g, w3, stride, padding) if need[0] else None
         gw = _conv1d_kgrad(g, x3, stride, padding, k) if need[1] else None
-        if len(need) == 2:
-            return gx, gw
-        return gx, gw, _bias_grad(g, (0, 2)) if need[2] else None
+        return gx, gw
 
-    y = _record("conv1d_transpose", out, inputs, backward_fn)
+    y = _record("conv1d_transpose", out, (x3, w3), backward_fn)
     return _demote_conv_output(y, rank)
 
 

@@ -325,11 +325,15 @@ class Network:
             if layer.kind == "dense":
                 x = ad.linear(x, self.params[f"{i}.weight"], self.params[f"{i}.bias"])
             elif layer.kind == "conv1d":
-                x = ad.conv1d(x, self.params[f"{i}.kernel"], layer.stride, layer.padding,
-                              bias=self.params[f"{i}.bias"])
+                k = self.params[f"{i}.kernel"]
+                b = self.params[f"{i}.bias"]
+                x = ad.conv1d(x, k, layer.stride, layer.padding)
+                x = x + ad.reshape(b, (1, layer.out_channels, 1))
             elif layer.kind == "conv1d_transpose":
-                x = ad.conv1d_transpose(x, self.params[f"{i}.kernel"], layer.stride,
-                                        layer.padding, bias=self.params[f"{i}.bias"])
+                k = self.params[f"{i}.kernel"]
+                b = self.params[f"{i}.bias"]
+                x = ad.conv1d_transpose(x, k, layer.stride, layer.padding)
+                x = x + ad.reshape(b, (1, layer.out_channels, 1))
             elif layer.kind == "batch_norm":
                 x = self._batch_norm(i, x, mode, update_stats)
             elif layer.kind == "activation":

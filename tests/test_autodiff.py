@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -633,74 +633,34 @@ class TestFusedBatchNorm:
 
 
 # ---------------------------------------------------------------------
-# linear and the conv bias: one recorded op each
+# linear: a dense layer as one recorded op
 # ---------------------------------------------------------------------
 
 def _composite_linear(x, w, b):
     return ad.matmul(x, ad.transpose_last(w)) + b
 
 
-def _fused_pair(kind, stride, padding):
-    """(fused, composite) builders of one op kind, both f(x, w, b)."""
-    if kind == "linear":
-        return ad.linear, _composite_linear
-    conv = ad.conv1d if kind == "conv1d" else ad.conv1d_transpose
-
-    def fused(x, w, b):
-        return conv(x, w, stride, padding, bias=b)
-
-    def composite(x, w, b):
-        return conv(x, w, stride, padding) + ad.reshape(b, (1, b.shape[0], 1))
-
-    return fused, composite
-
-
-FUSED_FD_CASES = [
-    ("linear", (4, 5), (3, 5), 1, 0),
-    ("conv1d", (2, 3, 9), (4, 3, 3), 2, 1),
-    ("conv1d_transpose", (2, 3, 5), (3, 2, 4), 2, 1),
-]
-
-
-@pytest.mark.parametrize("kind,x_shape,w_shape,stride,padding", FUSED_FD_CASES,
-                         ids=[c[0] for c in FUSED_FD_CASES])
-def test_fused_op_gradients_match_finite_differences(kind, x_shape, w_shape, stride,
-                                                     padding, rng):
-    fused, _ = _fused_pair(kind, stride, padding)
-    channels = w_shape[1] if kind == "conv1d_transpose" else w_shape[0]
-    check_gradients(lambda x, w, b: (fused(x, w, b) ** 2).sum(),
-                    [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
-                     rng.standard_normal(channels)])
+def test_linear_gradients_match_finite_differences(rng):
+    check_gradients(lambda x, w, b: (ad.linear(x, w, b) ** 2).sum(),
+                    [rng.standard_normal((4, 5)), rng.standard_normal((3, 5)),
+                     rng.standard_normal(3)])
 
 
 @st.composite
-def _fused_inputs(draw):
-    kind = draw(st.sampled_from(["linear", "conv1d", "conv1d_transpose"]))
+def _linear_inputs(draw):
     batch = draw(st.integers(1, 4))
     c_in, c_out = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    stride, padding, k = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
-    length = draw(st.integers(1, 12))
-    if kind == "conv1d":
-        assume(length + 2 * padding >= k)
-    elif kind == "conv1d_transpose":
-        assume((length - 1) * stride - 2 * padding + k >= 1)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "linear":
-        x_shape, w_shape = (batch, c_in), (c_out, c_in)
-    elif kind == "conv1d":
-        x_shape, w_shape = (batch, c_in, length), (c_out, c_in, k)
-    else:
-        x_shape, w_shape = (batch, c_in, length), (c_in, c_out, k)
-    arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
+    arrays = [rng.standard_normal((batch, c_in)), rng.standard_normal((c_out, c_in)),
               rng.standard_normal(c_out)]
-    return kind, stride, padding, arrays, rng.uniform(0.5, 1.5, size=10_000)
+    return arrays, rng.uniform(0.5, 1.5, size=(batch, c_out))
 
 
-def _fused_derivatives(fn, arrays, weights):
+def _linear_derivatives(fn, arrays, weights):
     """Output, gradients by backward() and by grad(create_graph=True), and
     second derivatives of the squared x and w gradients."""
     def loss_of(out):
-        return (out * out * ad.Tensor(weights[: out.size].reshape(out.shape))).sum()
+        return (out * out * ad.Tensor(weights)).sum()
 
     ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
     out = fn(*ts)
@@ -716,28 +676,22 @@ def _fused_derivatives(fn, arrays, weights):
     return found
 
 
-class TestFusedLinearAndConvBias:
+class TestLinear:
     @settings(max_examples=80, deadline=None)
-    @given(_fused_inputs())
+    @given(_linear_inputs())
     def test_matches_composite_bit_for_bit(self, inputs):
-        kind, stride, padding, arrays, weights = inputs
-        fused, composite = _fused_pair(kind, stride, padding)
-        got = _fused_derivatives(fused, arrays, weights)
-        want = _fused_derivatives(composite, arrays, weights)
+        got = _linear_derivatives(ad.linear, *inputs)
+        want = _linear_derivatives(_composite_linear, *inputs)
         for name, ref in want.items():
             assert got[name].shape == ref.shape, name
             np.testing.assert_array_equal(bits(got[name]), bits(ref), err_msg=name)
 
-    @pytest.mark.parametrize("kind,x_shape,w_shape,stride,padding", FUSED_FD_CASES,
-                             ids=[c[0] for c in FUSED_FD_CASES])
-    def test_is_one_recorded_op(self, kind, x_shape, w_shape, stride, padding, rng):
-        fused, _ = _fused_pair(kind, stride, padding)
-        x = ad.Tensor(rng.standard_normal(x_shape), requires_grad=True)
-        w = ad.Tensor(rng.standard_normal(w_shape), requires_grad=True)
-        channels = w_shape[1] if kind == "conv1d_transpose" else w_shape[0]
-        b = ad.Tensor(np.zeros(channels), requires_grad=True)
-        out = fused(x, w, b)
-        assert out._node.op == kind
+    def test_is_one_recorded_op(self, rng):
+        x = ad.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        b = ad.Tensor(np.zeros(3), requires_grad=True)
+        out = ad.linear(x, w, b)
+        assert out._node.op == "linear"
         assert out._node.inputs == (x, w, b)
 
     def test_second_derivative_through_linear(self, rng):
@@ -772,16 +726,6 @@ class TestFusedLinearAndConvBias:
         with pytest.raises(ad.ShapeError, match="linear"):
             ad.linear(ad.Tensor(np.zeros(x_shape)), ad.Tensor(np.zeros(w_shape)),
                       ad.Tensor(np.zeros(b_shape)))
-
-    @pytest.mark.parametrize("kind", ["conv1d", "conv1d_transpose"])
-    @pytest.mark.parametrize("b_shape", [(2,), (4,), (1, 3), ()])
-    def test_conv_rejects_bad_bias(self, kind, b_shape):
-        # three output channels either way
-        conv = ad.conv1d if kind == "conv1d" else ad.conv1d_transpose
-        w_shape = (3, 2, 3) if kind == "conv1d" else (2, 3, 3)
-        with pytest.raises(ad.ShapeError, match=kind):
-            conv(ad.Tensor(np.zeros((1, 2, 8))), ad.Tensor(np.zeros(w_shape)),
-                 bias=ad.Tensor(np.zeros(b_shape)))
 
 
 # ---------------------------------------------------------------------

@@ -7,14 +7,16 @@ For every seed and workload the two sides each run
 
     python3 perfbench/run.py --workload W --seed S --seconds T
 
-from their own tree, alternating which side goes first from seed to seed,
-and the result file ``perfbench/out/result-W-seedS-trace0.json`` is read
-after each run. The output holds, per workload, end-to-end metric and
-side, the median, quartiles and every run; the change's wins out of the
-pairs; the median gap (positive when the change is better) against the
-parent's interquartile range; the bound from BENCHMARK.json; and the
-``failed`` counts. It is rewritten after every pair, so a run that is
-stopped early keeps what it measured.
+from their own tree (T is ``run_seconds`` of BENCHMARK.json), alternating
+which side goes first from seed to seed, and the result file
+``perfbench/out/result-W-seedS-trace0.json`` is read after each run. The
+output holds, per workload, end-to-end metric and side, the median,
+quartiles and every run; the change's wins out of all pairs run; the
+median gap (positive when the change is better) against the parent's
+interquartile range; the bound from BENCHMARK.json; and the ``failed``
+counts, with a flag set when the change fails more than the parent. It is
+rewritten after every pair, so a run that is stopped early keeps what it
+measured.
 
     python3 tools/bench_pairs.py --pr N --parent HEAD --seeds 1501-1510 \\
         --scratch /tmp/bench-parent
@@ -55,16 +57,21 @@ def export_rev(rev: str, dest: str) -> str:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1501-1510' or '7,9,11' (or a mix) -> a list of seeds."""
+    """'1501-1510' or '7,9,11' (or a mix) -> a list of distinct seeds."""
     seeds = []
-    try:
-        for part in text.split(","):
-            lo, _, hi = part.partition("-")
-            seeds.extend(range(int(lo), int(hi or lo) + 1))
-    except ValueError:
-        seeds = []
-    if not seeds:
-        raise SystemExit(f"error: --seeds {text!r} names no non-negative seeds")
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        try:
+            part_seeds = range(int(lo), int(hi or lo) + 1)
+        except ValueError:
+            raise SystemExit(f"error: --seeds part {part!r} is neither a seed nor a "
+                             "range lo-hi of non-negative seeds") from None
+        if not part_seeds:
+            raise SystemExit(f"error: --seeds part {part!r} is an empty range")
+        repeated = sorted(set(seeds) & set(part_seeds))
+        if repeated:
+            raise SystemExit(f"error: --seeds part {part!r} repeats seed {repeated[0]}")
+        seeds.extend(part_seeds)
     return seeds
 
 
@@ -99,18 +106,32 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def _value(run: dict, name: str):
+    metric = run["line"]["metrics"].get(name)
+    return None if metric is None else metric["value"]
+
+
+def _change_wins(p, c, higher: bool) -> bool:
+    """Whether the change won one pair. A pair the change has no value for
+    is a loss; one the parent alone has no value for is no win either."""
+    if p is None or c is None:
+        return False
+    return c > p if higher else c < p
+
+
 def summarize(metric: dict, runs: list[tuple[dict, dict]]) -> dict:
-    """Compare one end-to-end metric over the pairs (parent, change)."""
+    """Compare one end-to-end metric over the pairs (parent, change). Wins
+    are counted out of every pair run, so a pair whose change run failed
+    counts against the change; each side's median and quartiles are over
+    the runs that gave a value."""
     name, higher = metric["name"], metric["better"] == "higher"
-    pairs = [(p["line"]["metrics"][name]["value"], c["line"]["metrics"][name]["value"])
-             for p, c in runs
-             if name in p["line"]["metrics"] and name in c["line"]["metrics"]]
-    parent = spread([p for p, _ in pairs])
-    change = spread([c for _, c in pairs])
+    values = [(_value(p, name), _value(c, name)) for p, c in runs]
+    parent = spread([p for p, _ in values if p is not None])
+    change = spread([c for _, c in values if c is not None])
     out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-           "parent": parent, "change": change, "pairs": len(pairs),
-           "change_wins": sum((c > p) if higher else (c < p) for p, c in pairs)}
-    if pairs:
+           "parent": parent, "change": change, "pairs": len(values),
+           "change_wins": sum(_change_wins(p, c, higher) for p, c in values)}
+    if parent["runs"] and change["runs"]:
         gap = change["median"] - parent["median"]
         if not higher:
             gap = -gap
@@ -124,6 +145,25 @@ def summarize(metric: dict, runs: list[tuple[dict, dict]]) -> dict:
     return out
 
 
+def failures(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per side, the attempted and failed operations of every run, the
+    failed total, and the runs that gave no result at all; the change
+    fails more when either of its counts exceeds the parent's."""
+    sides = ("parent", "change")
+    out = {"attempted": {s: [pair[i]["line"]["attempted"] for pair in pairs]
+                         for i, s in enumerate(sides)},
+           "failed": {s: [pair[i]["line"]["failed"] for pair in pairs]
+                      for i, s in enumerate(sides)},
+           "errors": [r["error"] for pair in pairs for r in pair if "error" in r]}
+    out["failed_total"] = {s: sum(n for n in out["failed"][s] if n is not None)
+                           for s in sides}
+    out["runs_lost"] = {s: sum("error" in pair[i] for pair in pairs)
+                        for i, s in enumerate(sides)}
+    out["change_fails_more"] = any(out[k]["change"] > out[k]["parent"]
+                                   for k in ("failed_total", "runs_lost"))
+    return out
+
+
 def build_report(spec: dict, meta: dict, results: dict) -> dict:
     builds = [r["build"] for runs in results.values() for pair in runs["pairs"]
               for r in pair if r.get("build")]
@@ -132,16 +172,10 @@ def build_report(spec: dict, meta: dict, results: dict) -> dict:
               "build_consistent": all(b == builds[0] for b in builds),
               "workloads": {}}
     for workload, runs in results.items():
-        pairs = runs["pairs"]
-        report["workloads"][workload] = {
-            "seeds": runs["seeds"], "first": runs["first"],
-            "attempted": {side: [pair[i]["line"]["attempted"] for pair in pairs]
-                          for i, side in enumerate(("parent", "change"))},
-            "failed": {side: [pair[i]["line"]["failed"] for pair in pairs]
-                       for i, side in enumerate(("parent", "change"))},
-            "errors": [r["error"] for pair in pairs for r in pair if "error" in r],
-            "metrics": {m["name"]: summarize(m, pairs) for m in spec["end_to_end"]},
-        }
+        report["workloads"][workload] = {"seeds": runs["seeds"], "first": runs["first"],
+                                         **failures(runs["pairs"]),
+                                         "metrics": {m["name"]: summarize(m, runs["pairs"])
+                                                     for m in spec["end_to_end"]}}
     return report
 
 
@@ -156,8 +190,6 @@ def main(argv=None) -> int:
                         help="empty or missing directory for the parent's files")
     parser.add_argument("--workloads", nargs="+",
                         help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -167,7 +199,7 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - set(known))
     if unknown:
         parser.error(f"unknown workloads {unknown}; BENCHMARK.json has {known}")
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     seeds = parse_seeds(args.seeds)
     out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
 
