@@ -7,10 +7,8 @@ separate from the parameters makes shape validation, parameter counting
 and checkpointing straightforward.
 """
 
-from __future__ import annotations
-
 import base64
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,11 +20,6 @@ class BuildError(ValueError):
     """A NetworkSpec is internally inconsistent."""
 
 
-LAYER_KINDS = (
-    "dense", "conv1d", "conv1d_transpose", "batch_norm",
-    "activation", "self_attention", "reshape",
-)
-
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # weight on the old running statistic
 INIT_STD = 0.02
@@ -34,92 +27,227 @@ INIT_STD = 0.02
 
 @dataclass
 class LayerSpec:
-    kind: str
-    # dense
-    in_features: int = 0
-    out_features: int = 0
-    # conv1d / conv1d_transpose
-    in_channels: int = 0
-    out_channels: int = 0
-    kernel_size: int = 0
-    stride: int = 1
-    padding: int = 0
-    # batch_norm
-    num_features: int = 0
-    # activation
-    fn: str = ""
-    alpha: float = 0.2
-    # self_attention
-    channels: int = 0
-    query_channels: int = 0
-    # reshape (per-sample target shape)
-    shape: tuple = ()
+    """One layer of a network. Each kind is a subclass, declared with the
+    `kind` name a checkpoint stores, that owns its fields, shape rule,
+    parameters and forward(x, params, running, mode, update_stats), where
+    params are the tensors param_shapes() names and running the
+    new_running() stats. Every int field, and every entry of a tuple
+    field, must be >= 1 (`padding` >= 0)."""
+    kind = ""
+    _kinds = {}  # kind name -> subclass
+
+    def __init_subclass__(cls, kind: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = kind
+        LayerSpec._kinds[kind] = cls
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise BuildError(f"unknown layer kind {self.kind!r}")
-        self.shape = tuple(int(s) for s in self.shape)
+        for f in fields(self):
+            if f.type in (int, tuple):
+                value = getattr(self, f.name)
+                ints = tuple(value) if f.type is tuple else (value,)
+                low = 0 if f.name == "padding" else 1
+                if not all(isinstance(n, int) and n >= low for n in ints):
+                    raise BuildError(f"{self.kind}: {f.name} must be integer(s) >= {low}, "
+                                     f"got {value!r}")
+                setattr(self, f.name, ints if f.type is tuple else value)
+
+    def out_shape(self, in_shape: tuple) -> tuple:
+        """Per-sample output shape; raises BuildError if the input does not fit."""
+        return in_shape
+
+    def param_shapes(self) -> list:
+        """[(name, shape, fill)] of the parameters this layer owns; each starts
+        at the constant fill, or at a Normal(0, INIT_STD) draw if fill is None."""
+        return []
+
+    def new_running(self):
+        """Fresh running statistics, or None for a layer that keeps none."""
+        return None
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "dense":
-            d.update(in_features=self.in_features, out_features=self.out_features)
-        elif self.kind in ("conv1d", "conv1d_transpose"):
-            d.update(in_channels=self.in_channels, out_channels=self.out_channels,
-                     kernel_size=self.kernel_size, stride=self.stride,
-                     padding=self.padding)
-        elif self.kind == "batch_norm":
-            d.update(num_features=self.num_features)
-        elif self.kind == "activation":
-            d.update(fn=self.fn)
-            if self.fn == "leaky_relu":
-                d.update(alpha=self.alpha)
-        elif self.kind == "self_attention":
-            d.update(channels=self.channels, query_channels=self.query_channels)
-        elif self.kind == "reshape":
-            d.update(shape=list(self.shape))
-        return d
+        d = {"kind": self.kind, **asdict(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
         d = dict(d)
-        if "shape" in d:
-            d["shape"] = tuple(d["shape"])
-        return cls(**d)
+        kind = d.pop("kind", None)
+        if not isinstance(kind, str) or kind not in cls._kinds:
+            raise BuildError(f"unknown layer kind {kind!r}")
+        try:
+            return cls._kinds[kind](**d)
+        except TypeError as e:  # a missing or foreign field
+            raise BuildError(f"{kind}: {e}") from e
+
+
+def _expect_channels(shape: tuple, channels: int):
+    if len(shape) != 2:
+        raise BuildError(f"expected [channels, length] input, got {shape}")
+    if shape[0] != channels:
+        raise BuildError(f"expects {channels} channels, got {shape[0]}")
+
+
+@dataclass
+class Dense(LayerSpec, kind="dense"):
+    in_features: int
+    out_features: int
+
+    def out_shape(self, in_shape):
+        if len(in_shape) != 1:
+            raise BuildError(f"expected a flat input, got shape {in_shape}")
+        if in_shape[0] != self.in_features:
+            raise BuildError(f"expects {self.in_features} features, got {in_shape[0]}")
+        return (self.out_features,)
+
+    def param_shapes(self):
+        return [("weight", (self.out_features, self.in_features), None),
+                ("bias", (self.out_features,), 0.0)]
+
+    def forward(self, x, params, *_):
+        return ad.linear(x, *params)
+
+
+@dataclass
+class Conv1d(LayerSpec, kind="conv1d"):
+    in_channels: int
+    out_channels: int
+    kernel_size: int
+    stride: int = 1
+    padding: int = 0
+
+    def out_shape(self, in_shape):
+        _expect_channels(in_shape, self.in_channels)
+        return (self.out_channels, ad.conv_output_length(
+            in_shape[1], self.kernel_size, self.stride, self.padding))
+
+    def param_shapes(self):
+        return [("kernel", (self.out_channels, self.in_channels, self.kernel_size), None),
+                ("bias", (self.out_channels,), 0.0)]
+
+    def forward(self, x, params, *_):
+        kernel, bias = params
+        x = ad.conv1d(x, kernel, self.stride, self.padding)
+        return x + ad.reshape(bias, (1, self.out_channels, 1))
+
+
+@dataclass
+class Conv1dTranspose(Conv1d, kind="conv1d_transpose"):
+    def out_shape(self, in_shape):
+        _expect_channels(in_shape, self.in_channels)
+        return (self.out_channels, ad.conv_transpose_output_length(
+            in_shape[1], self.kernel_size, self.stride, self.padding))
+
+    def param_shapes(self):
+        return [("kernel", (self.in_channels, self.out_channels, self.kernel_size), None),
+                ("bias", (self.out_channels,), 0.0)]
+
+    def forward(self, x, params, *_):
+        kernel, bias = params
+        x = ad.conv1d_transpose(x, kernel, self.stride, self.padding)
+        return x + ad.reshape(bias, (1, self.out_channels, 1))
+
+
+@dataclass
+class BatchNorm(LayerSpec, kind="batch_norm"):
+    """Normalizes [F] per feature, or [C, L] per channel over batch and length."""
+    num_features: int
+
+    def out_shape(self, in_shape):
+        if len(in_shape) not in (1, 2):
+            raise BuildError(f"expected [features] or [channels, length], got {in_shape}")
+        if in_shape[0] != self.num_features:
+            raise BuildError(f"expects {self.num_features} features, got {in_shape[0]}")
+        return in_shape
+
+    def param_shapes(self):
+        return [("gamma", (self.num_features,), 1.0), ("beta", (self.num_features,), 0.0)]
+
+    def new_running(self):
+        return {"mean": np.zeros(self.num_features), "var": np.ones(self.num_features)}
+
+    def forward(self, x, params, running, mode, update_stats):
+        gamma, beta = params
+        if mode == "eval":
+            return ad.batch_norm_inference(x, gamma, beta, running["mean"],
+                                           running["var"], BN_EPS)
+        out, m, v = ad.batch_norm(x, gamma, beta, BN_EPS)
+        if update_stats:
+            running["mean"] = BN_MOMENTUM * running["mean"] + (1 - BN_MOMENTUM) * m
+            running["var"] = BN_MOMENTUM * running["var"] + (1 - BN_MOMENTUM) * v
+        return out
+
+
+@dataclass
+class Activation(LayerSpec, kind="activation"):
+    fn: str
+    alpha: float = 0.2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.fn not in ad._ACTIVATIONS:
+            raise BuildError(f"activation: unknown function {self.fn!r}")
+        if self.fn == "leaky_relu" and not 0.0 < self.alpha < 1.0:
+            raise BuildError("activation: alpha must lie in (0,1)")
+
+    def forward(self, x, params, *_):
+        return ad.activation(x, self.fn, self.alpha)
+
+    def to_dict(self):
+        d = super().to_dict()
+        if self.fn != "leaky_relu":
+            del d["alpha"]  # written only where it acts
+        return d
+
+
+@dataclass
+class SelfAttention(LayerSpec, kind="self_attention"):
+    channels: int
+    query_channels: int
+
+    def out_shape(self, in_shape):
+        _expect_channels(in_shape, self.channels)
+        return in_shape
+
+    def param_shapes(self):
+        c, q = self.channels, self.query_channels
+        return [("wq", (q, c, 1), None), ("wk", (q, c, 1), None),
+                ("wv", (c, c, 1), None), ("gamma_attn", (), 0.0)]  # starts as identity
+
+    def forward(self, x, params, *_):
+        return attention_forward(x, *params)
+
+
+@dataclass
+class Reshape(LayerSpec, kind="reshape"):
+    shape: tuple  # per-sample target shape
+
+    def out_shape(self, in_shape):
+        if int(np.prod(in_shape)) != int(np.prod(self.shape)):
+            raise BuildError(
+                f"cannot reshape {in_shape} into {self.shape} (size mismatch)")
+        return self.shape
+
+    def forward(self, x, params, *_):
+        return ad.reshape(x, (x.shape[0],) + self.shape)
 
 
 # convenience constructors, used by the presets and handy in tests
-def dense(in_features, out_features):
-    return LayerSpec("dense", in_features=in_features, out_features=out_features)
-
-
-def conv(in_channels, out_channels, kernel_size, stride=1, padding=0):
-    return LayerSpec("conv1d", in_channels=in_channels, out_channels=out_channels,
-                     kernel_size=kernel_size, stride=stride, padding=padding)
-
-
-def conv_transpose(in_channels, out_channels, kernel_size, stride=1, padding=0):
-    return LayerSpec("conv1d_transpose", in_channels=in_channels,
-                     out_channels=out_channels, kernel_size=kernel_size,
-                     stride=stride, padding=padding)
-
-
-def batch_norm(num_features):
-    return LayerSpec("batch_norm", num_features=num_features)
-
-
-def act(fn, alpha=0.2):
-    return LayerSpec("activation", fn=fn, alpha=alpha)
+dense = Dense
+conv = Conv1d
+conv_transpose = Conv1dTranspose
+batch_norm = BatchNorm
+act = Activation
 
 
 def self_attention(channels, query_channels=0):
     if query_channels <= 0:
         query_channels = max(1, channels // 8)
-    return LayerSpec("self_attention", channels=channels, query_channels=query_channels)
+    return SelfAttention(channels, query_channels)
 
 
 def reshape_to(*shape):
-    return LayerSpec("reshape", shape=tuple(shape))
+    return Reshape(shape)
 
 
 @dataclass
@@ -149,78 +277,15 @@ class NetworkSpec:
         )
 
 
-def _shape_after(layer: LayerSpec, shape: tuple, index: int) -> tuple:
-    """Per-sample output shape of one layer, or a BuildError naming it."""
-    where = f"layer {index} ({layer.kind})"
-    if layer.kind == "dense":
-        if len(shape) != 1:
-            raise BuildError(f"{where}: expected a flat input, got shape {shape}")
-        if shape[0] != layer.in_features:
-            raise BuildError(
-                f"{where}: expects {layer.in_features} features, got {shape[0]}")
-        if layer.out_features < 1:
-            raise BuildError(f"{where}: out_features must be >= 1")
-        return (layer.out_features,)
-    if layer.kind == "conv1d":
-        if len(shape) != 2:
-            raise BuildError(f"{where}: expected [channels, length] input, got {shape}")
-        if shape[0] != layer.in_channels:
-            raise BuildError(
-                f"{where}: expects {layer.in_channels} channels, got {shape[0]}")
-        if layer.kernel_size < 1 or layer.stride < 1 or layer.padding < 0:
-            raise BuildError(f"{where}: invalid kernel/stride/padding")
-        try:
-            l_out = ad.conv_output_length(shape[1], layer.kernel_size,
-                                          layer.stride, layer.padding)
-        except ad.ShapeError as e:
-            raise BuildError(f"{where}: {e}") from e
-        return (layer.out_channels, l_out)
-    if layer.kind == "conv1d_transpose":
-        if len(shape) != 2:
-            raise BuildError(f"{where}: expected [channels, length] input, got {shape}")
-        if shape[0] != layer.in_channels:
-            raise BuildError(
-                f"{where}: expects {layer.in_channels} channels, got {shape[0]}")
-        try:
-            l_out = ad.conv_transpose_output_length(shape[1], layer.kernel_size,
-                                                    layer.stride, layer.padding)
-        except ad.ShapeError as e:
-            raise BuildError(f"{where}: {e}") from e
-        return (layer.out_channels, l_out)
-    if layer.kind == "batch_norm":
-        feat = shape[0]
-        if feat != layer.num_features:
-            raise BuildError(
-                f"{where}: expects {layer.num_features} features, got {feat}")
-        return shape
-    if layer.kind == "activation":
-        if layer.fn not in ("relu", "leaky_relu", "tanh", "sigmoid", "linear"):
-            raise BuildError(f"{where}: unknown activation {layer.fn!r}")
-        if layer.fn == "leaky_relu" and not 0.0 < layer.alpha < 1.0:
-            raise BuildError(f"{where}: alpha must lie in (0,1)")
-        return shape
-    if layer.kind == "self_attention":
-        if len(shape) != 2:
-            raise BuildError(f"{where}: expected [channels, length] input, got {shape}")
-        if shape[0] != layer.channels:
-            raise BuildError(f"{where}: expects {layer.channels} channels, got {shape[0]}")
-        if layer.query_channels < 1:
-            raise BuildError(f"{where}: query_channels must be >= 1")
-        return shape
-    if layer.kind == "reshape":
-        if int(np.prod(shape)) != int(np.prod(layer.shape)):
-            raise BuildError(
-                f"{where}: cannot reshape {shape} into {layer.shape} (size mismatch)")
-        return layer.shape
-    raise BuildError(f"{where}: unhandled kind")
-
-
 def infer_shapes(spec: NetworkSpec) -> list:
     """Per-sample shape after every layer; raises BuildError on mismatch."""
     shapes = []
     cur = spec.input_shape
     for i, layer in enumerate(spec.layers):
-        cur = _shape_after(layer, cur, i)
+        try:
+            cur = layer.out_shape(cur)
+        except (BuildError, ad.ShapeError) as e:
+            raise BuildError(f"layer {i} ({layer.kind}): {e}") from e
         shapes.append(cur)
     return shapes
 
@@ -235,9 +300,9 @@ def validate(spec: NetworkSpec) -> tuple:
         raise BuildError("network has no layers")
     last_act = None
     for layer in spec.layers:
-        if layer.kind == "activation":
+        if isinstance(layer, Activation):
             last_act = layer.fn
-        elif layer.kind != "reshape":
+        elif not isinstance(layer, Reshape):
             last_act = None  # a parametric layer after the activation resets it
     if spec.role == "discriminator" and last_act != "sigmoid":
         raise BuildError("discriminator must end in a sigmoid activation")
@@ -248,32 +313,9 @@ def validate(spec: NetworkSpec) -> tuple:
     return shapes[-1]
 
 
-def _layer_param_shapes(layer: LayerSpec) -> list:
-    """[(name, shape)] of the parameters this layer owns."""
-    if layer.kind == "dense":
-        return [("weight", (layer.out_features, layer.in_features)),
-                ("bias", (layer.out_features,))]
-    if layer.kind == "conv1d":
-        return [("kernel", (layer.out_channels, layer.in_channels, layer.kernel_size)),
-                ("bias", (layer.out_channels,))]
-    if layer.kind == "conv1d_transpose":
-        return [("kernel", (layer.in_channels, layer.out_channels, layer.kernel_size)),
-                ("bias", (layer.out_channels,))]
-    if layer.kind == "batch_norm":
-        return [("gamma", (layer.num_features,)), ("beta", (layer.num_features,))]
-    if layer.kind == "self_attention":
-        c, q = layer.channels, layer.query_channels
-        return [("wq", (q, c, 1)), ("wk", (q, c, 1)), ("wv", (c, c, 1)),
-                ("gamma_attn", ())]
-    return []
-
-
 def param_count(spec: NetworkSpec) -> int:
-    total = 0
-    for layer in spec.layers:
-        for _, shape in _layer_param_shapes(layer):
-            total += int(np.prod(shape)) if shape else 1
-    return total
+    return sum(int(np.prod(shape)) for layer in spec.layers
+               for _, shape, _ in layer.param_shapes())
 
 
 def _b64(arr: np.ndarray) -> str:
@@ -320,49 +362,10 @@ class Network:
             raise ad.ShapeError(
                 f"input shape {x.shape} does not match spec "
                 f"[batch, {', '.join(map(str, expected))}]")
-        batch = x.shape[0]
         for i, layer in enumerate(self.spec.layers):
-            if layer.kind == "dense":
-                x = ad.linear(x, self.params[f"{i}.weight"], self.params[f"{i}.bias"])
-            elif layer.kind == "conv1d":
-                k = self.params[f"{i}.kernel"]
-                b = self.params[f"{i}.bias"]
-                x = ad.conv1d(x, k, layer.stride, layer.padding)
-                x = x + ad.reshape(b, (1, layer.out_channels, 1))
-            elif layer.kind == "conv1d_transpose":
-                k = self.params[f"{i}.kernel"]
-                b = self.params[f"{i}.bias"]
-                x = ad.conv1d_transpose(x, k, layer.stride, layer.padding)
-                x = x + ad.reshape(b, (1, layer.out_channels, 1))
-            elif layer.kind == "batch_norm":
-                x = self._batch_norm(i, x, mode, update_stats)
-            elif layer.kind == "activation":
-                x = ad.activation(x, layer.fn, layer.alpha)
-            elif layer.kind == "self_attention":
-                x = self._attention(i, x)
-            elif layer.kind == "reshape":
-                x = ad.reshape(x, (batch,) + layer.shape)
+            params = [self.params[f"{i}.{name}"] for name, _, _ in layer.param_shapes()]
+            x = layer.forward(x, params, self.running.get(i), mode, update_stats)
         return x
-
-    def _batch_norm(self, i, x, mode, update_stats):
-        # [B, F] per feature, [B, C, L] per channel over batch and length
-        gamma = self.params[f"{i}.gamma"]
-        beta = self.params[f"{i}.beta"]
-        stats = self.running[i]
-        if mode == "eval":
-            return ad.batch_norm_inference(x, gamma, beta, stats["mean"], stats["var"], BN_EPS)
-        out, m, v = ad.batch_norm(x, gamma, beta, BN_EPS)
-        if update_stats:
-            stats["mean"] = BN_MOMENTUM * stats["mean"] + (1 - BN_MOMENTUM) * m
-            stats["var"] = BN_MOMENTUM * stats["var"] + (1 - BN_MOMENTUM) * v
-        return out
-
-    def _attention(self, i, x):
-        wq = self.params[f"{i}.wq"]
-        wk = self.params[f"{i}.wk"]
-        wv = self.params[f"{i}.wv"]
-        gamma = self.params[f"{i}.gamma_attn"]
-        return attention_forward(x, wq, wk, wv, gamma)
 
     # -- serialization ---------------------------------------------------
     def state_dict(self) -> dict:
@@ -371,10 +374,8 @@ class Network:
             params[name] = {"shape": list(p.shape), "data": _b64(p.data)}
         running = {}
         for idx, stats in self.running.items():
-            running[str(idx)] = {
-                "mean": {"shape": list(stats["mean"].shape), "data": _b64(stats["mean"])},
-                "var": {"shape": list(stats["var"].shape), "data": _b64(stats["var"])},
-            }
+            running[str(idx)] = {key: {"shape": list(arr.shape), "data": _b64(arr)}
+                                 for key, arr in stats.items()}
         return {
             "spec": self.spec.to_dict(),
             "init_seed": int(self.init_seed),
@@ -401,7 +402,7 @@ class Network:
             net.params[name].data = arr
         for idx_str, stats in state["running"].items():
             running = net.running[int(idx_str)]
-            for key in ("mean", "var"):
+            for key in running:
                 arr = _unb64(stats[key]["data"], stats[key]["shape"])
                 if arr.shape != running[key].shape:
                     raise BuildError(f"checkpoint running {key} of layer {idx_str} has "
@@ -432,29 +433,19 @@ def attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
 
 
 def build(spec: NetworkSpec, init_seed: int) -> Network:
-    """Instantiate parameters for a validated spec.
-
-    Weights are drawn Normal(0, 0.02), biases start at zero, batch-norm
-    gains at one, and the attention gate at zero (so attention layers
-    begin as the identity). Deterministic for a given seed.
-    """
+    """Instantiate parameters for a validated spec, each as its layer's
+    param_shapes() says. Deterministic for a given seed."""
     validate(spec)
     rng = np.random.default_rng(int(init_seed))
     params = {}
     running = {}
     for i, layer in enumerate(spec.layers):
-        for name, shape in _layer_param_shapes(layer):
-            key = f"{i}.{name}"
-            if name in ("weight", "kernel", "wq", "wk", "wv"):
-                data = rng.normal(0.0, INIT_STD, size=shape)
-            elif name == "gamma":
-                data = np.ones(shape)
-            else:  # bias, beta, gamma_attn
-                data = np.zeros(shape)
-            params[key] = Tensor(data, requires_grad=True)
-        if layer.kind == "batch_norm":
-            running[i] = {"mean": np.zeros(layer.num_features),
-                          "var": np.ones(layer.num_features)}
+        for name, shape, fill in layer.param_shapes():
+            data = rng.normal(0.0, INIT_STD, size=shape) if fill is None else np.full(shape, fill)
+            params[f"{i}.{name}"] = Tensor(data, requires_grad=True)
+        stats = layer.new_running()
+        if stats is not None:
+            running[i] = stats
     return Network(spec, params, running, int(init_seed))
 
 

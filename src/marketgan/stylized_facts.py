@@ -106,8 +106,11 @@ def linear_unpredictability_score(r, max_lag: int = 20,
     """Fraction of return autocorrelations (lags 1..max_lag) inside the
     white-noise confidence band. Near 1 for real returns."""
     values = _as_values(r)
-    rho = acf(values, max_lag)
-    return float((np.abs(rho) < confidence_band(len(values), band_multiplier)).mean())
+    return _fraction_inside(acf(values, max_lag), confidence_band(len(values), band_multiplier))
+
+
+def _fraction_inside(rho: np.ndarray, band: float) -> float:
+    return float((np.abs(rho) < band).mean())
 
 
 def volatility_clustering_score(r, max_lag: int = 20, summary_lags: int = 10):
@@ -340,7 +343,7 @@ def evaluate(candidate, reference, thresholds: FactThresholds | None = None) -> 
     m = moments(cand)
     rho = acf(cand, t.linear_max_lag)
     band = confidence_band(len(cand), t.acf_band_multiplier)
-    linear_score = float((np.abs(rho) < band).mean())
+    linear_score = _fraction_inside(rho, band)
     rho_abs, vol_summary = volatility_clustering_score(
         cand, t.volatility_max_lag, t.volatility_summary_lags)
     profile = aggregational_gaussianity_profile(cand, t.aggregational_scales)

@@ -540,10 +540,14 @@ def state_from_document(doc: dict) -> TrainState:
     with _reading("config"):
         config = TrainConfig.from_flat(doc["config"])
         config.validate()
+        specs = ly.preset(config.gan_variant, config.seq_len, config.latent_dim)
     nets = {}
-    for key in ("generator", "discriminator"):
+    for key, spec in zip(("generator", "discriminator"), specs):
         with _reading(key):
             nets[key] = ly.Network.from_state_dict(doc[key])
+        if nets[key].spec != spec:
+            raise CheckpointError(f"checkpoint field {key!r}: spec is not the preset "
+                                  f"its config names ({config.gan_variant})")
         _check_network(key, nets[key])
     opts = {}
     for key, net in (("g_optimizer", nets["generator"]),

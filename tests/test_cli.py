@@ -254,6 +254,10 @@ MALFORMED_CHECKPOINTS = {
     "nan_weights": _nan_weights,
     "empty_adam_moments": lambda doc: doc["g_optimizer"].update(m={}),
     "nan_learning_rate": lambda doc: doc["d_optimizer"].update(lr=float("nan")),
+    "config_seq_len_off_by_one": lambda doc: doc["config"].update(
+        seq_len=doc["config"]["seq_len"] + 1),
+    "spec_extra_tanh": lambda doc: doc["generator"]["spec"]["layers"].append(
+        {"kind": "activation", "fn": "tanh"}),
 }
 
 

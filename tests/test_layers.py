@@ -52,8 +52,25 @@ class TestLayerSpec:
             assert again == layer
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ly.LayerSpec(kind="dropout")
+        with pytest.raises(ly.BuildError, match="dropout"):
+            ly.LayerSpec.from_dict({"kind": "dropout"})
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ly.conv_transpose(2, 1, 4, stride=0), "stride"),
+        (lambda: ly.conv_transpose(2, 1, 0), "kernel_size"),
+        (lambda: ly.build(ly.NetworkSpec(
+            [ly.reshape_to(2, 2, 2), ly.batch_norm(2), ly.reshape_to(8), ly.act("tanh")],
+            (8,), "generator"), 0), r"layer 1 \(batch_norm\)"),
+        (lambda: ly.reshape_to(-2, -4), "shape"),
+        (lambda: ly.conv(1, 0, 3), "out_channels"),
+        (lambda: ly.LayerSpec.from_dict(
+            {"kind": "dense", "in_features": 2, "out_features": 3, "kernel_size": 3}),
+         "kernel_size"),
+    ], ids=["transpose_stride_0", "transpose_kernel_0", "batch_norm_3d",
+            "negative_reshape", "conv_0_out_channels", "dense_foreign_field"])
+    def test_invalid_layer_rejected_before_forward(self, make, field):
+        with pytest.raises(ly.BuildError, match=field):
+            make()
 
 
 class TestShapeInference:
