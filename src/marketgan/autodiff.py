@@ -5,8 +5,10 @@ inputs and a backward closure; the nodes reachable from a loss are the
 recording that backward() consumes. Backward closures are written in terms
 of the ops in this module, so gradients themselves can be recorded and
 differentiated again (needed for gradient penalties). All arithmetic is
-float64; any op that produces a non-finite value raises NonFiniteError
-instead of letting NaN/inf propagate silently.
+float64, and NaN/inf never propagates silently: a forward op or tensor
+construction that produces a non-finite value raises NonFiniteError naming
+the op, and a reverse sweep raises it when a gradient it returns is not
+finite (the ops a sweep runs are not screened one by one).
 
 Two network layers are fused ops: linear() is a dense layer x @ w.T + b
 and batch_norm() normalizes with batch statistics, each as one recorded
@@ -47,6 +49,20 @@ class TapeError(RuntimeError):
 _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
+# Set while a reverse sweep runs: the ops its backward closures run are not
+# screened one by one; backward() and grad() screen what the sweep returns.
+# That keeps detection because every live node's gradient flows into a
+# returned gradient, and the closures only multiply, add, matmul, sum,
+# reshape, broadcast or crop it. relu, leaky_relu and clip multiply by their
+# masks instead of selecting, and the only crop, conv1d_transpose's padding
+# margin, drops taps of windows that also reach interior positions (while
+# padding < kernel size, as in every preset). No closure selects with
+# np.where or by indexing, so NaN or inf born in a sweep reaches a returned
+# gradient (inf * 0 is NaN). The one way it can vanish is a denominator the
+# sweep forms: div's gradient g*a / (b*b) reads 0 where b*b overflows to
+# inf, where a per-op check would have raised.
+_SWEEPING = False
+
 
 class no_grad:
     """Context manager that suspends recording. Ops inside run as plain numpy."""
@@ -84,6 +100,8 @@ class _Node:
 
 
 def _check_finite(arr: np.ndarray, op: str):
+    if _SWEEPING:
+        return
     # cheap screen first: the sum is non-finite iff some entry is, short of
     # a genuine float64 overflow, which the full check below also treats as
     # non-finite anyway
@@ -896,8 +914,11 @@ def _walk(loss: Tensor, is_target, create_graph: bool):
     live when one of its inputs is a target or was produced by a live
     node. Only live nodes run their backward closure, which gets one flag
     per input saying whether that input needs a gradient. Raises TapeError
-    if backward() already consumed any node on the way.
+    if backward() already consumed any node on the way. The ops the sweep
+    runs are not screened for non-finite values (see _SWEEPING); the
+    caller screens the gradients it returns.
     """
+    global _SWEEPING
     nodes = _reachable(loss._node)
     if any(node.consumed for node in nodes):
         raise TapeError("this recording was already consumed by a previous backward")
@@ -909,23 +930,27 @@ def _walk(loss: Tensor, is_target, create_graph: bool):
         if any(need):
             live.add(id(node))
             plan.append((node, need))
-    grads = {id(loss): loss}
-    acc = {id(loss): Tensor(np.ones_like(loss.data))}
     ctx = nullcontext() if create_graph else no_grad()
-    with ctx:
-        for node, need in reversed(plan):
-            g = acc.get(node.out_id)
-            if g is None:
-                continue
-            in_grads = node.backward_fn(g, need)
-            for t, ig in zip(node.inputs, in_grads):
-                if ig is None:
+    prev, _SWEEPING = _SWEEPING, True
+    try:
+        grads = {id(loss): loss}
+        acc = {id(loss): Tensor(np.ones_like(loss.data))}
+        with ctx:
+            for node, need in reversed(plan):
+                g = acc.get(node.out_id)
+                if g is None:
                     continue
-                if id(t) in acc:
-                    acc[id(t)] = add(acc[id(t)], ig)
-                else:
-                    acc[id(t)] = ig
-                    grads[id(t)] = t
+                in_grads = node.backward_fn(g, need)
+                for t, ig in zip(node.inputs, in_grads):
+                    if ig is None:
+                        continue
+                    if id(t) in acc:
+                        acc[id(t)] = add(acc[id(t)], ig)
+                    else:
+                        acc[id(t)] = ig
+                        grads[id(t)] = t
+    finally:
+        _SWEEPING = prev
     return nodes, {k: (grads[k], acc[k]) for k in acc}
 
 
@@ -954,13 +979,18 @@ def backward(loss: Tensor):
     the same nodes raises TapeError until a fresh forward pass re-records
     them. Consumed nodes drop their inputs and closures, so the arrays the
     recording held are freed as soon as backward returns.
+
+    Raises NonFiniteError ("backward produced ...") if a leaf gradient is
+    not finite, before any ``.grad`` changes. This one screen stands in for
+    checks on the ops the sweep runs, so the error does not name the op
+    where the value was born.
     """
     _check_scalar(loss)
     nodes, collected = _walk(loss, _is_trainable_leaf, create_graph=False)
-    for t, g in collected.values():
-        if t._node is not None:
-            continue
+    leaves = [(t, g) for t, g in collected.values() if t._node is None]
+    for _, g in leaves:  # all first: a failure leaves every .grad as it was
         _check_finite(g.data, "backward")
+    for t, g in leaves:
         if t.grad is None:
             t.grad = g.data.copy()
         else:
@@ -983,7 +1013,10 @@ def grad(output: Tensor, inputs, create_graph: bool = False):
     tensors, such as the weights of a network differentiated with respect
     to its input, are neither computed nor recorded. An input that does not
     require gradients, or that ``output`` does not depend on, gets zeros.
-    Raises TapeError if backward() already consumed part of the recording.
+    Raises TapeError if backward() already consumed part of the recording,
+    and NonFiniteError ("grad produced ...") if a returned gradient is not
+    finite; as in backward(), the ops of the sweep are not checked one by
+    one.
     """
     _check_scalar(output)
     inputs = list(inputs)
@@ -995,5 +1028,6 @@ def grad(output: Tensor, inputs, create_graph: bool = False):
         if entry is None:
             out.append(Tensor(np.zeros_like(t.data)))
         else:
+            _check_finite(entry[1].data, "grad")
             out.append(entry[1])
     return out

@@ -189,6 +189,10 @@ class Activation(LayerSpec, kind="activation"):
             raise BuildError(f"activation: unknown function {self.fn!r}")
         if self.fn == "leaky_relu" and not 0.0 < self.alpha < 1.0:
             raise BuildError("activation: alpha must lie in (0,1)")
+        # to_dict drops alpha where it does not act, so only the default
+        # (the class attribute) round-trips there
+        if self.fn != "leaky_relu" and self.alpha != Activation.alpha:
+            raise BuildError(f"activation: alpha applies only to leaky_relu, not {self.fn!r}")
 
     def forward(self, x, params, *_):
         return ad.activation(x, self.fn, self.alpha)

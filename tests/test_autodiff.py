@@ -261,6 +261,65 @@ class TestNonFiniteDetection:
             ad.tlog(ad.Tensor([0.0]))
 
 
+class TestNonFiniteInSweep:
+    """A value that is finite going forward can overflow in the reverse
+    sweep: y = 1 / b at b = 1e-200 is 1e200, but dy/db = -1e400 is -inf.
+    The sweep must still raise, whichever check catches it."""
+
+    @staticmethod
+    def overflowing_loss():
+        b = ad.Tensor([1e-200], requires_grad=True)
+        return ad.tsum(ad.div(1.0, b)), b
+
+    def test_backward_raises(self):
+        y, b = self.overflowing_loss()
+        with pytest.raises(ad.NonFiniteError):
+            ad.backward(y)
+        assert b.grad is None
+
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_grad_raises(self, create_graph):
+        y, b = self.overflowing_loss()
+        with pytest.raises(ad.NonFiniteError):
+            ad.grad(y, [b], create_graph=create_graph)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflow_times_relu_zero_mask_raises(self):
+        # the -inf gradient of 1 / (relu(c) + d) meets relu's zero mask at
+        # c < 0: -inf * 0 is NaN, not 0
+        c = ad.Tensor([-1.0], requires_grad=True)
+        y = ad.tsum(ad.div(1.0, ad.add(ad.relu(c), 1e-200)))
+        with pytest.raises(ad.NonFiniteError):
+            ad.backward(y)
+
+    def test_forward_checks_resume_after_a_failed_sweep(self):
+        y, _ = self.overflowing_loss()
+        with pytest.raises(ad.NonFiniteError):
+            ad.backward(y)
+        with pytest.raises(ad.NonFiniteError, match="log"):
+            ad.tlog(ad.Tensor([0.0]))
+
+    def test_backward_screens_only_leaf_gradients(self, monkeypatch, rng):
+        # one screen per leaf gradient, none per op the sweep runs
+        x = ad.Tensor(rng.normal(size=(4, 3)))
+        w1 = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b1 = ad.Tensor(np.zeros(5), requires_grad=True)
+        w2 = ad.Tensor(rng.normal(size=(1, 5)), requires_grad=True)
+        b2 = ad.Tensor(np.zeros(1), requires_grad=True)
+        loss = ad.tmean(ad.sigmoid(ad.linear(ad.tanh(ad.linear(x, w1, b1)), w2, b2)))
+        screened = []
+        real = ad._check_finite
+
+        def counting(arr, op):
+            if not ad._SWEEPING:
+                screened.append(op)
+            real(arr, op)
+
+        monkeypatch.setattr(ad, "_check_finite", counting)
+        ad.backward(loss)
+        assert screened == ["backward"] * 4
+
+
 ELEMENTWISE_CASES = [
     ("add", lambda a, b: ad.add(a, b).sum(), 2, (3, 4), None),
     ("add_broadcast", lambda a, b: ad.add(a, b).sum(), 2, (3, 4), (4,)),

@@ -47,7 +47,9 @@ class TestLayerSpec:
     def test_roundtrip_through_dict(self):
         for layer in [ly.dense(2, 3), ly.conv(1, 4, 3, 2, 1),
                       ly.conv_transpose(4, 2, 5, 2, 1), ly.batch_norm(6),
-                      ly.act("tanh"), ly.self_attention(8), ly.reshape_to(2, 2)]:
+                      *(ly.act(fn) for fn in ad._ACTIVATIONS),
+                      ly.act("leaky_relu", alpha=0.5), ly.self_attention(8),
+                      ly.reshape_to(2, 2)]:
             again = ly.LayerSpec.from_dict(layer.to_dict())
             assert again == layer
 
@@ -66,8 +68,12 @@ class TestLayerSpec:
         (lambda: ly.LayerSpec.from_dict(
             {"kind": "dense", "in_features": 2, "out_features": 3, "kernel_size": 3}),
          "kernel_size"),
+        (lambda: ly.act("tanh", alpha=0.5), "alpha"),
+        (lambda: ly.LayerSpec.from_dict({"kind": "activation", "fn": "relu", "alpha": 0.1}),
+         "alpha"),
     ], ids=["transpose_stride_0", "transpose_kernel_0", "batch_norm_3d",
-            "negative_reshape", "conv_0_out_channels", "dense_foreign_field"])
+            "negative_reshape", "conv_0_out_channels", "dense_foreign_field",
+            "tanh_with_alpha", "relu_with_alpha_in_dict"])
     def test_invalid_layer_rejected_before_forward(self, make, field):
         with pytest.raises(ly.BuildError, match=field):
             make()
