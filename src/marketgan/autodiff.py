@@ -10,12 +10,15 @@ construction that produces a non-finite value raises NonFiniteError naming
 the op, and a reverse sweep raises it when a gradient it returns is not
 finite (the ops a sweep runs are not screened one by one).
 
-Two network layers are fused ops: linear() is a dense layer x @ w.T + b
-and batch_norm() normalizes with batch statistics, each as one recorded
-op. Their backward closures ask whether the sweep records: a first-order
-sweep forms the dense-layer gradients (and batch norm's statistics) with
-numpy directly, while a recording sweep (grad with create_graph) builds
-every gradient from the ops above, so it can be differentiated again.
+Four ops are fused, each one recorded op with a closed-form backward:
+linear() is a dense layer x @ w.T + b, batch_norm() normalizes with batch
+statistics, softmax() is the stable exp(x - max) / sum(exp(x - max)) and
+self_attention() is a whole self-attention layer. Their backward closures
+ask whether the sweep records: a first-order sweep reads what the forward
+pass kept (and forms the dense-layer gradients with numpy directly), while
+a recording sweep (grad with create_graph) rebuilds it from the inputs with
+the ops above, so every gradient can be differentiated again. A non-finite
+value formed inside a fused op is reported as that op.
 
 The reverse sweep computes only the branches that lead to its targets (the
 tensors grad() was asked about, or the leaves backward() fills): a node
@@ -52,11 +55,12 @@ _SEQ = itertools.count()
 # Set while a reverse sweep runs: the ops its backward closures run are not
 # screened one by one; backward() and grad() screen what the sweep returns.
 # That keeps detection because every live node's gradient flows into a
-# returned gradient, and the closures only multiply, add, matmul, sum,
-# reshape, broadcast or crop it. relu, leaky_relu and clip multiply by their
-# masks instead of selecting, and the only crop, conv1d_transpose's padding
-# margin, drops taps of windows that also reach interior positions (while
-# padding < kernel size, as in every preset). No closure selects with
+# returned gradient, and the closures only multiply, add, subtract, matmul,
+# sum, reshape, transpose, broadcast or crop it; the fused softmax and
+# self_attention closures among them. relu, leaky_relu and clip multiply by
+# their masks instead of selecting, and the only crop, conv1d_transpose's
+# padding margin, drops taps of windows that also reach interior positions
+# (while padding < kernel size, as in every preset). No closure selects with
 # np.where or by indexing, so NaN or inf born in a sweep reaches a returned
 # gradient (inf * 0 is NaN). The one way it can vanish is a denominator the
 # sweep forms: div's gradient g*a / (b*b) reads 0 where b*b overflows to
@@ -581,12 +585,43 @@ def activation(x: Tensor, kind: str, alpha: float = 0.2) -> Tensor:
     raise ValueError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
 
 
+def _softmax_data(x: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Softmax of the array ``x`` along ``axis`` in one buffer: ``out``,
+    which may be ``x`` itself, or a new array. The same roundings as
+    exp(x - max) / sum(exp(x - max)) formed one step at a time."""
+    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def _softmax_vjp(y: Tensor, g: Tensor, axis: int):
+    """Softmax's backward along ``axis`` for output ``y`` and output
+    gradient ``g``: returns y * (g - s) and s = sum(g * y) over ``axis``."""
+    s = tsum(mul(g, y), axis=axis, keepdims=True)
+    return mul(y, sub(g, s)), s
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (composed from primitives)."""
+    """Numerically stable softmax along ``axis``, as one recorded op with
+    the bits of the composite exp(x - max) / sum(exp(x - max)).
+
+    An entry more than the float64 range below its maximum weighs exactly 0.
+    A first-order sweep reads the output; a recording sweep (create_graph)
+    rebuilds it from x with module ops, so double backward is exact.
+    """
     x = _as_tensor(x)
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = texp(sub(x, shift))
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    y = _softmax_data(x.data, axis)
+
+    def backward_fn(g, _need):
+        if _GRAD_ENABLED:
+            e = texp(sub(x, Tensor(x.data.max(axis=axis, keepdims=True))))
+            y_t = div(e, tsum(e, axis=axis, keepdims=True))
+        else:
+            y_t = Tensor(y)
+        return (_softmax_vjp(y_t, g, axis)[0],)
+
+    return _record("softmax", y, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------
@@ -671,14 +706,14 @@ def _conv1d_windows(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndar
         writeable=False)
 
 
-def _conv1d_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    batch, _, length = x.shape
-    c_out, c_in, k = w.shape
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """The windows of [B,C,L] ``x`` as gemm rows: [B, L_out, C*k]. Every conv
+    gemm of an input reads this one layout: conv1d, its kernel gradient and
+    the 1x1 projections of self_attention."""
+    batch, channels, length = x.shape
     l_out = conv_output_length(length, k, stride, padding)
     wins = _conv1d_windows(x, k, stride, padding)
-    cols = np.ascontiguousarray(wins.transpose(0, 2, 1, 3)).reshape(batch, l_out, c_in * k)
-    out = cols @ w.reshape(c_out, c_in * k).T
-    return out.transpose(0, 2, 1)
+    return np.ascontiguousarray(wins.transpose(0, 2, 1, 3)).reshape(batch, l_out, channels * k)
 
 
 def _conv1d_transpose_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
@@ -702,16 +737,6 @@ def _conv1d_transpose_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: in
     return out
 
 
-def _conv1d_kgrad_raw(x: np.ndarray, gout: np.ndarray, stride: int, padding: int,
-                      k: int) -> np.ndarray:
-    batch, c_in, _ = x.shape
-    _, c_out, l_out = gout.shape
-    wins = _conv1d_windows(x, k, stride, padding)
-    g2 = np.ascontiguousarray(gout.transpose(1, 0, 2)).reshape(c_out, batch * l_out)
-    w2 = np.ascontiguousarray(wins.transpose(0, 2, 1, 3)).reshape(batch * l_out, c_in * k)
-    return (g2 @ w2).reshape(c_out, c_in, k)
-
-
 def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation of ``x`` [B,C,L] with kernels ``w`` [O,C,k].
 
@@ -725,19 +750,25 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv1d: input has {x3.shape[1]} channels but kernel expects {w3.shape[1]}"
         )
-    k = w3.shape[2]
+    cols = _im2col(x3.data, w3.shape[2], stride, padding)
+    return _demote_conv_output(_conv1d(x3, w3, stride, padding, cols), rank)
+
+
+def _conv1d(x3: Tensor, w3: Tensor, stride: int, padding: int, cols: np.ndarray) -> Tensor:
+    """conv1d of [B,C,L] ``x3`` with [O,C,k] ``w3`` from ``cols``, the
+    _im2col of x3, which the kernel gradient reads again."""
+    c_out, _, k = w3.shape
     length = x3.shape[2]
-    out = _conv1d_raw(x3.data, w3.data, stride, padding)
+    out = (cols @ w3.data.reshape(c_out, -1).T).transpose(0, 2, 1)
 
     def backward_fn(g, need):
         gx = None
         if need[0]:
             gx = conv1d_transpose(g, w3, stride, padding, output_length=length)
-        gw = _conv1d_kgrad(x3, g, stride, padding, k) if need[1] else None
+        gw = _conv1d_kgrad(x3, g, stride, padding, k, cols) if need[1] else None
         return gx, gw
 
-    y = _record("conv1d", out, (x3, w3), backward_fn)
-    return _demote_conv_output(y, rank)
+    return _record("conv1d", out, (x3, w3), backward_fn)
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
@@ -766,31 +797,34 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     out = _conv1d_transpose_raw(x3.data, w3.data, stride, padding, out_len)
 
     def backward_fn(g, need):
-        gx = conv1d(g, w3, stride, padding) if need[0] else None
-        gw = _conv1d_kgrad(g, x3, stride, padding, k) if need[1] else None
+        # both gradients are gemms over the windows of g: build them once
+        cols = _im2col(g.data, k, stride, padding)
+        gx = _conv1d(g, w3, stride, padding, cols) if need[0] else None
+        gw = _conv1d_kgrad(g, x3, stride, padding, k, cols) if need[1] else None
         return gx, gw
 
     y = _record("conv1d_transpose", out, (x3, w3), backward_fn)
     return _demote_conv_output(y, rank)
 
 
-def _conv1d_kgrad(x: Tensor, gout: Tensor, stride: int, padding: int, k: int) -> Tensor:
+def _conv1d_kgrad(x3: Tensor, g3: Tensor, stride: int, padding: int, k: int,
+                  cols: np.ndarray) -> Tensor:
     """Gradient of conv1d w.r.t. its kernel, itself differentiable.
 
-    x is the conv input [B,C,L], gout the output gradient [B,O,L_out];
-    the result has kernel shape [O,C,k].
+    x3 is the conv input [B,C,L] and ``cols`` its _im2col, g3 the output
+    gradient [B,O,L_out]; the result has kernel shape [O,C,k].
     """
-    x3 = _as_tensor(x)
-    g3 = _as_tensor(gout)
-    length = x3.shape[2]
-    out = _conv1d_kgrad_raw(x3.data, g3.data, stride, padding, k)
+    batch, c_in, length = x3.shape
+    _, c_out, l_out = g3.shape
+    g2 = np.ascontiguousarray(g3.data.transpose(1, 0, 2)).reshape(c_out, batch * l_out)
+    out = (g2 @ cols.reshape(batch * l_out, c_in * k)).reshape(c_out, c_in, k)
 
     def backward_fn(g, need):
         # g has kernel shape [O,C,k] and plays the role of a kernel here
         gx = None
         if need[0]:
             gx = conv1d_transpose(g3, g, stride, padding, output_length=length)
-        gg = conv1d(x3, g, stride, padding) if need[1] else None
+        gg = _conv1d(x3, g, stride, padding, cols) if need[1] else None
         return gx, gg
 
     return _record("conv1d_kgrad", out, (x3, g3), backward_fn)
@@ -882,6 +916,80 @@ def batch_norm_inference(x: Tensor, gamma: Tensor, beta: Tensor,
     centered = sub(x, Tensor(np.asarray(running_mean, dtype=np.float64).reshape(bshape)))
     gamma_b = reshape(_as_tensor(gamma), bshape)
     return add(mul(centered, mul(gamma_b, inv)), reshape(_as_tensor(beta), bshape))
+
+
+# ---------------------------------------------------------------------
+# self-attention
+# ---------------------------------------------------------------------
+
+def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, gate: Tensor) -> Tensor:
+    """Self-attention over the positions of a [B,C,L] feature map (Zhang et
+    al. 2019) as one recorded op: out = x + gate * (V @ A).
+
+    Q, K and V are the 1x1 convolutions of x by ``wq`` and ``wk`` [Cq,C,1]
+    and ``wv`` [C,C,1], read from one _im2col of x, and A = softmax(Q^T K)
+    along axis 1, so the weights that each output position mixes sum to
+    one. ``gate`` is a scalar. The forward makes the gemm calls of the
+    composite of conv1d, matmul and softmax and has its bits; a non-finite
+    value it forms is reported as this op.
+
+    The backward is closed-form. With P = V^T g and r = sum(P * A) down each
+    column, softmax's backward gives S = A * (P - r) at the scores. Q, K
+    and V (as [B,L,.]) get gate * S @ K, gate * S^T @ Q and gate * A @ g^T;
+    each kernel gets its part times the columns of x, x gets g plus the
+    parts back through the kernels, and the gate gets sum(r) =
+    sum(g * (V @ A)). A first-order sweep reads Q, K, V and A from the
+    forward pass; a recording sweep (create_graph) rebuilds them from x with
+    module ops, so double backward is exact.
+    """
+    x, wq, wk, wv, gate = (_as_tensor(t) for t in (x, wq, wk, wv, gate))
+    if x.ndim != 3:
+        raise ShapeError(f"self_attention expects [batch, channels, length], got {x.shape}")
+    batch, channels, length = x.shape
+    if (wq.ndim != 3 or wq.shape[1:] != (channels, 1) or wk.shape != wq.shape
+            or wv.shape != (channels, channels, 1)):
+        raise ShapeError(f"self_attention: for {channels} channels wq and wk need one shape "
+                         f"[query, {channels}, 1] and wv [{channels}, {channels}, 1], got "
+                         f"{wq.shape}, {wk.shape} and {wv.shape}")
+    if gate.shape != ():
+        raise ShapeError(f"self_attention: the gate must be a scalar, got shape {gate.shape}")
+    cols = _im2col(x.data, 1, 1, 0)              # [B, L, C]
+    q, k, v = (cols @ w.data.reshape(w.shape[0], channels).T for w in (wq, wk, wv))
+    a = q @ k.transpose(0, 2, 1)                 # [B, L, L], a[b,i,j] = q_i . k_j
+    _softmax_data(a, 1, out=a)                   # columns (fixed j) sum to 1
+    out = x.data + gate.data * (v.transpose(0, 2, 1) @ a)
+    cols = cols.reshape(batch * length, channels)
+
+    def backward_fn(g, need):
+        if _GRAD_ENABLED:
+            # recording: rebuild Q, K, V and A from x so they are on the graph
+            cols_t = reshape(transpose_last(x), cols.shape)
+            q_t, k_t, v_t = (
+                reshape(matmul(cols_t, transpose_last(reshape(w, w.shape[:2]))),
+                        (batch, length, w.shape[0]))
+                for w in (wq, wk, wv))
+            a_t = softmax(matmul(q_t, transpose_last(k_t)), axis=1)
+        else:
+            cols_t, q_t, k_t, v_t, a_t = (Tensor(arr) for arr in (cols, q, k, v, a))
+        ds, r = _softmax_vjp(a_t, matmul(v_t, g), 1)
+        parts = (matmul(ds, k_t), matmul(transpose_last(ds), q_t),
+                 matmul(a_t, transpose_last(g)))
+        grads, gx = [], None
+        for w, part, needed in zip((wq, wk, wv), parts, need[1:4]):
+            part = reshape(part, (batch * length, w.shape[0]))
+            if needed:
+                gw = transpose_last(matmul(transpose_last(cols_t), part))
+                grads.append(mul(reshape(gw, w.shape), gate))
+            else:
+                grads.append(None)
+            if need[0]:
+                through = matmul(part, reshape(w, w.shape[:2]))
+                gx = through if gx is None else add(gx, through)
+        if need[0]:
+            gx = add(g, mul(transpose_last(reshape(gx, (batch, length, channels))), gate))
+        return (gx, *grads, tsum(r) if need[4] else None)
+
+    return _record("self_attention", out, (x, wq, wk, wv, gate), backward_fn)
 
 
 # ---------------------------------------------------------------------

@@ -245,7 +245,7 @@ act = Activation
 
 
 def self_attention(channels, query_channels=0):
-    if query_channels <= 0:
+    if query_channels == 0:  # the default; SelfAttention rejects negative values
         query_channels = max(1, channels // 8)
     return SelfAttention(channels, query_channels)
 
@@ -417,23 +417,10 @@ class Network:
 
 def attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                       gamma_attn: Tensor) -> Tensor:
-    """Self-attention over positions of a [B, C, L] feature map.
-
-    Query/Key/Value are 1x1 convolutions of x. Attention scores are
-    Q^T K over positions, normalized with a softmax so each output
-    position mixes value vectors with weights summing to one, and the
-    result is gated into a residual: out = x + gamma_attn * (V @ map).
-    """
-    x = ad._as_tensor(x)
-    if x.ndim != 3:
-        raise ad.ShapeError(f"self_attention expects [batch, channels, length], got {x.shape}")
-    q = ad.conv1d(x, wq)                       # [B, Cq, L]
-    k = ad.conv1d(x, wk)                       # [B, Cq, L]
-    v = ad.conv1d(x, wv)                       # [B, C, L]
-    scores = ad.matmul(ad.transpose_last(q), k)    # [B, L, L], scores[b,i,j] = q_i . k_j
-    attn = ad.softmax(scores, axis=1)              # columns (fixed j) sum to 1
-    term = ad.matmul(v, attn)                      # [B, C, L]
-    return x + gamma_attn * term
+    """Self-attention over positions of a [B, C, L] feature map, gated into
+    a residual: out = x + gamma_attn * (V @ map). One recorded op; see
+    autodiff.self_attention."""
+    return ad.self_attention(x, wq, wk, wv, gamma_attn)
 
 
 def build(spec: NetworkSpec, init_seed: int) -> Network:

@@ -528,6 +528,30 @@ def test_conv_transpose_is_exact_adjoint(rng):
         assert float((cx * y).sum()) == pytest.approx(float((x * ty).sum()), rel=1e-10)
 
 
+def test_conv_builds_each_im2col_once(monkeypatch, rng):
+    # conv1d's forward im2col of x serves its kernel gradient too, and
+    # conv1d_transpose's backward builds the im2col of g once for both
+    # of its gradients
+    calls = []
+    windows = ad._conv1d_windows
+
+    def counted(x, *args):
+        calls.append(x.shape)
+        return windows(x, *args)
+
+    monkeypatch.setattr(ad, "_conv1d_windows", counted)
+    x = ad.Tensor(rng.standard_normal((2, 3, 9)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((4, 3, 4)), requires_grad=True)
+    ad.backward((ad.conv1d(x, w, stride=2, padding=1) ** 2).sum())
+    assert calls == [(2, 3, 9)]
+    calls.clear()
+    y = ad.conv1d_transpose(x, ad.Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True),
+                            stride=2, padding=1)
+    assert calls == []
+    ad.backward((y ** 2).sum())
+    assert calls == [y.shape]
+
+
 def test_conv_output_length_formulas():
     assert ad.conv_output_length(127, 4, 2, 1) == 63
     assert ad.conv_output_length(8, 3, 1, 1) == 8
@@ -839,3 +863,138 @@ def test_sum_matches_numpy(values):
     with ad.no_grad():
         assert ad.tsum(ad.Tensor(x)).item() == pytest.approx(x.sum(), rel=1e-12)
         assert ad.tmean(ad.Tensor(x)).item() == pytest.approx(x.mean(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------
+# softmax and self-attention: one recorded op each
+# ---------------------------------------------------------------------
+
+def _composite_softmax(x, axis):
+    e = ad.texp(ad.sub(x, ad.Tensor(x.data.max(axis=axis, keepdims=True))))
+    return ad.div(e, ad.tsum(e, axis=axis, keepdims=True))
+
+
+def _composite_attention(x, wq, wk, wv, gate):
+    q, k, v = ad.conv1d(x, wq), ad.conv1d(x, wk), ad.conv1d(x, wv)
+    attn = _composite_softmax(ad.matmul(ad.transpose_last(q), k), 1)
+    return ad.add(x, ad.mul(gate, ad.matmul(v, attn)))
+
+
+def _derivatives(fn, arrays, weights):
+    """Output, gradients by grad(create_graph=True) and by backward(), and
+    the gradient of the summed squared first gradients (double backward)."""
+    def loss_of(out):
+        return (out * out * ad.Tensor(weights)).sum()
+
+    ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*ts)
+    firsts = ad.grad(loss_of(out), ts, create_graph=True)
+    penalty = firsts[0] * firsts[0]
+    seconds = ad.grad(sum(((f * f).sum() for f in firsts[1:]), penalty.sum()), ts)
+    leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    ad.backward(loss_of(fn(*leaves)))
+    found = {"out": out.data}
+    for i in range(len(arrays)):
+        found[f"grad {i}"] = firsts[i].data
+        found[f"second {i}"] = seconds[i].data
+        found[f"backward {i}"] = leaves[i].grad
+    return found
+
+
+def _assert_matches(fused, composite):
+    np.testing.assert_array_equal(bits(fused["out"]), bits(composite["out"]))
+    # softmax's backward subtracts a weighted mean of the output gradient,
+    # so a derivative can be far smaller than the terms that cancel in it:
+    # each is compared relative to the largest derivative of its order
+    derivatives = {name: ref for name, ref in composite.items() if name != "out"}
+    scales = {}
+    for name, ref in derivatives.items():
+        order = name.startswith("second")
+        scales[order] = max(scales.get(order, 0.0), np.abs(ref).max())
+    for name, ref in derivatives.items():
+        assert fused[name].shape == ref.shape, name
+        scale = scales[name.startswith("second")]
+        np.testing.assert_allclose(fused[name], ref, rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=name)
+
+
+@st.composite
+def _softmax_inputs(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # spreads of a few units: a saturated softmax's gradient is rounding
+    # noise in any form, so two forms cannot be held to 1e-12 there
+    x = rng.standard_normal(shape) * draw(st.floats(0.1, 1.0))
+    return x, axis, rng.uniform(0.5, 1.5, shape)
+
+
+@st.composite
+def _attention_inputs(draw):
+    batch, channels, length = (draw(st.integers(1, n)) for n in (3, 6, 7))
+    query = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(0.0, 1.0, (batch, channels, length))
+    wq, wk = (rng.normal(0.0, 0.7, (query, channels, 1)) for _ in range(2))
+    # scores within +-2, so the softmax is not saturated (see _softmax_inputs)
+    scores = np.einsum("qc,bci,qd,bdj->bij", wq[..., 0], x, wk[..., 0], x)
+    shrink = np.sqrt(max(1.0, np.abs(scores).max() / 2.0))
+    arrays = [x, wq / shrink, wk / shrink, rng.normal(0.0, 0.7, (channels, channels, 1)),
+              np.asarray(rng.uniform(-1.5, 1.5))]
+    return arrays, rng.uniform(0.5, 1.5, (batch, channels, length))
+
+
+class TestFusedSoftmax:
+    @settings(max_examples=80, deadline=None)
+    @given(_softmax_inputs())
+    def test_matches_composite(self, inputs):
+        x, axis, weights = inputs
+        _assert_matches(_derivatives(lambda t: ad.softmax(t, axis), [x], weights),
+                        _derivatives(lambda t: _composite_softmax(t, axis), [x], weights))
+
+    def test_is_one_recorded_op(self, rng):
+        x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        out = ad.softmax(x, axis=0)
+        assert out._node.op == "softmax"
+        assert out._node.inputs == (x,)
+
+    def test_weight_beyond_the_float_range_is_zero(self):
+        out = ad.softmax(ad.Tensor([1e308, -1e308, 1e308]))
+        np.testing.assert_array_equal(out.data, [0.5, 0.0, 0.5])
+
+
+class TestFusedSelfAttention:
+    @settings(max_examples=60, deadline=None)
+    @given(_attention_inputs())
+    def test_matches_composite(self, inputs):
+        _assert_matches(_derivatives(ad.self_attention, *inputs),
+                        _derivatives(_composite_attention, *inputs))
+
+    def test_is_one_recorded_op(self, rng):
+        ts = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+              for shape in ((2, 4, 5), (1, 4, 1), (1, 4, 1), (4, 4, 1), ())]
+        out = ad.self_attention(*ts)
+        assert out._node.op == "self_attention"
+        assert out._node.inputs == tuple(ts)
+
+    @pytest.mark.parametrize("x_shape,q_shape,k_shape,v_shape,gate_shape", [
+        ((4, 5), (1, 4, 1), (1, 4, 1), (4, 4, 1), ()),             # x not 3-D
+        ((2, 4, 5), (1, 3, 1), (1, 3, 1), (4, 4, 1), ()),          # query channels
+        ((2, 4, 5), (1, 4, 1), (1, 4, 1), (4, 3, 1), ()),          # value in channels
+        ((2, 4, 5), (1, 4, 1), (1, 4, 1), (3, 4, 1), ()),          # value out channels
+        ((2, 4, 5), (2, 4, 1), (1, 4, 1), (4, 4, 1), ()),          # wq vs wk query size
+        ((2, 4, 5), (1, 4, 2), (1, 4, 2), (4, 4, 1), ()),          # not a 1x1 kernel
+        ((2, 4, 5), (4, 1), (4, 1), (4, 4, 1), ()),                # 2-D kernels
+        ((2, 4, 5), (1, 4, 1), (1, 4, 1), (4, 4, 1), (1,)),        # gate not a scalar
+    ])
+    def test_rejects_bad_shapes(self, x_shape, q_shape, k_shape, v_shape, gate_shape):
+        with pytest.raises(ad.ShapeError, match="self_attention"):
+            ad.self_attention(*(ad.Tensor(np.zeros(shape)) for shape in
+                                (x_shape, q_shape, k_shape, v_shape, gate_shape)))
+
+    def test_non_finite_value_names_the_op(self):
+        # q . k overflows to inf, and the softmax turns it into NaN
+        x = ad.Tensor(np.full((1, 1, 3), 1e200))
+        one = ad.Tensor(np.ones((1, 1, 1)))
+        with pytest.raises(ad.NonFiniteError, match="self_attention"):
+            ad.self_attention(x, one, one, one, ad.Tensor(0.5))

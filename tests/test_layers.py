@@ -71,9 +71,10 @@ class TestLayerSpec:
         (lambda: ly.act("tanh", alpha=0.5), "alpha"),
         (lambda: ly.LayerSpec.from_dict({"kind": "activation", "fn": "relu", "alpha": 0.1}),
          "alpha"),
+        (lambda: ly.self_attention(8, -3), "query_channels"),
     ], ids=["transpose_stride_0", "transpose_kernel_0", "batch_norm_3d",
             "negative_reshape", "conv_0_out_channels", "dense_foreign_field",
-            "tanh_with_alpha", "relu_with_alpha_in_dict"])
+            "tanh_with_alpha", "relu_with_alpha_in_dict", "attention_negative_query"])
     def test_invalid_layer_rejected_before_forward(self, make, field):
         with pytest.raises(ly.BuildError, match=field):
             make()
