@@ -720,20 +720,20 @@ def _conv1d_transpose_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: in
                           out_len: int) -> np.ndarray:
     batch, c_in, l_in = x.shape
     _, c_out, k = w.shape
-    # contributions of every (input position, kernel tap) pair, via one gemm:
-    # [B*L, O] @ [O, C*k] -> [B, L, C, k]
-    xt = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(batch * l_in, c_in)
-    contrib = (xt @ w.reshape(c_in, c_out * k)).reshape(batch, l_in, c_out, k)
+    # contributions of every (output channel, kernel tap, input position), via
+    # one gemm over x's own layout: [O*k, C] @ [B, C, L] -> [B, O, k, L], so
+    # each tap below reads contiguous rows
+    contrib = np.matmul(w.reshape(c_in, c_out * k).T, x).reshape(batch, c_out, k, l_in)
     full = (l_in - 1) * stride + k
     buf = np.zeros((batch, c_out, full))
     for t in range(k):
-        buf[:, :, t : t + stride * l_in : stride] += contrib[:, :, :, t].transpose(0, 2, 1)
+        buf[:, :, t : t + stride * l_in : stride] += contrib[:, :, t, :]
     # crop the padding margin; contributions outside [p, p+out_len) are dropped
     end = padding + out_len
     if end <= full:
         return buf[:, :, padding:end]
     out = np.zeros((batch, c_out, out_len))
-    out[:, :, : full - padding] = buf[:, :, padding:]
+    out[:, :, : max(full - padding, 0)] = buf[:, :, padding:]
     return out
 
 

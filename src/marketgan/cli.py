@@ -24,7 +24,8 @@ from . import stylized_facts as sf
 from . import training
 from .autodiff import NonFiniteError
 from .market_data import (DataError, atomic_write_text, load_return_series,
-                          normalize_and_window, returns_to_prices, write_returns_csv)
+                          normalize_and_window, open_input, returns_to_prices,
+                          write_returns_csv)
 from .stylized_facts import DegenerateSeriesError, FactThresholds
 from .training import (CheckpointError, TrainConfig, TrainingDivergedError,
                        load_checkpoint, save_checkpoint)
@@ -82,10 +83,10 @@ def _ensure_out_dir(out: str) -> str:
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot read config {path}: {exc}") from exc
+    except DataError as exc:
+        raise CliError(EXIT_DATA, f"bad config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_CONFIG, f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

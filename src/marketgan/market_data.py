@@ -13,6 +13,7 @@ import datetime
 import importlib.resources
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,18 @@ import numpy as np
 
 class DataError(ValueError):
     """Input data violates the CSV or series contract."""
+
+
+@contextmanager
+def open_input(path):
+    """Open an input file as UTF-8 text with line endings untranslated.
+    Every input file is read inside this block, so a file that cannot be
+    read, or is not UTF-8, raises DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            yield f
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {path}: {e}") from e
 
 
 def atomic_write_text(path, text: str):
@@ -126,11 +139,7 @@ def ingest_csv(path, symbol: str = "") -> PriceSeries:
     Row numbers in error messages count the header as row 1.
     """
     dates, prices = [], []
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    with handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -230,11 +239,7 @@ def write_returns_csv(path, values: np.ndarray):
 def read_returns_csv(path) -> ReturnSeries:
     """Read an `index,log_return` CSV (the generate command's output)."""
     values = []
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    with handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -258,11 +263,8 @@ def read_returns_csv(path) -> ReturnSeries:
 
 def load_return_series(path) -> ReturnSeries:
     """Read either CSV dialect (prices or returns), deciding by header."""
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            header = f.readline().strip()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
+    with open_input(path) as f:
+        header = f.readline().strip()
     cols = tuple(h.strip() for h in header.split(","))
     if cols == PRICE_HEADER:
         return to_log_returns(ingest_csv(path))

@@ -7,7 +7,7 @@ coordinates are formatted with a fixed precision.
 
 import csv
 
-from .market_data import DataError, atomic_write_text
+from .market_data import DataError, atomic_write_text, open_input
 
 WIDTH = 640
 HEIGHT = 360
@@ -34,12 +34,8 @@ def _tick_label(x: float) -> str:
 
 
 def _read_rows(path, expected_header):
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read plot data {path}: {exc}") from exc
+    with open_input(path) as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"plot data {path} is empty")
     header = tuple(h.strip() for h in rows[0])

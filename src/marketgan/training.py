@@ -27,7 +27,7 @@ from . import layers as ly
 from . import losses
 from . import optim
 from .autodiff import Tensor
-from .market_data import WindowedDataset, atomic_write_text
+from .market_data import DataError, WindowedDataset, atomic_write_text, open_input
 
 CHECKPOINT_FORMAT = "marketgan-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -90,6 +90,12 @@ class TrainConfig:
             raise ValueError("n_critic must be 1 for non-Wasserstein variants")
         if self.latent_dim < 1 or self.seq_len < 1:
             raise ValueError("latent_dim and seq_len must be >= 1")
+        try:
+            # specs only, no weights: the preset's own checks, such as a seq_len
+            # too short for three stride-2 stages
+            ly.preset(self.gan_variant, self.seq_len, self.latent_dim)
+        except ly.BuildError as exc:
+            raise ValueError(f"{self.gan_variant} at seq_len {self.seq_len}: {exc}") from exc
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
         if self.gp_lambda < 0:
@@ -591,10 +597,10 @@ def save_checkpoint(state: TrainState, path):
 
 def load_checkpoint(path) -> TrainState:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open_input(path) as f:
             doc = json.load(f)
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    except DataError as e:
+        raise CheckpointError(f"checkpoint: {e}") from e
     except json.JSONDecodeError as e:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from e
     return state_from_document(doc)

@@ -528,6 +528,79 @@ def test_conv_transpose_is_exact_adjoint(rng):
         assert float((cx * y).sum()) == pytest.approx(float((x * ty).sum()), rel=1e-10)
 
 
+def conv1d_transpose_scatter(x, w, stride, padding, out_len):
+    """Scatter loop, the oracle for conv1d_transpose: input position l adds
+    x[:, :, l] @ w[:, :, t] at output position l*stride + t - padding."""
+    b, _, length = x.shape
+    _, cout, k = w.shape
+    out = np.zeros((b, cout, out_len))
+    for pos_in in range(length):
+        for t in range(k):
+            pos = pos_in * stride + t - padding
+            if 0 <= pos < out_len:
+                out[:, :, pos] += x[:, :, pos_in] @ w[:, :, t]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=st.integers(1, 3), cin=st.integers(1, 5), cout=st.integers(1, 5),
+       length=st.integers(1, 12), k=st.integers(1, 6), stride=st.integers(1, 4),
+       padding=st.integers(0, 3), extra=st.none() | st.integers(0, 6),
+       contiguous=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_conv1d_transpose_matches_scatter_loop(batch, cin, cout, length, k, stride,
+                                               padding, extra, contiguous, seed):
+    # extra > padding asks for more output than the input reaches, which the
+    # op fills with zeros
+    natural = (length - 1) * stride + k - 2 * padding
+    out_len = natural if extra is None else natural + extra
+    if out_len < 1:
+        return
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, cin, length))
+    if not contiguous:
+        x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    w = rng.standard_normal((cin, cout, k))
+    with ad.no_grad():
+        got = ad.conv1d_transpose(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding,
+                                  output_length=None if extra is None else out_len).data
+    assert got.shape == (batch, cout, out_len)
+    np.testing.assert_allclose(got, conv1d_transpose_scatter(x, w, stride, padding, out_len),
+                               rtol=1e-12, atol=1e-12)
+
+
+def conv1d_transpose_row_gemm(x, w, stride, padding, out_len):
+    """The earlier _conv1d_transpose_raw: one [B*L, C] @ [C, O*k] gemm, read
+    back one strided tap at a time."""
+    batch, c_in, l_in = x.shape
+    _, c_out, k = w.shape
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(batch * l_in, c_in)
+    contrib = (xt @ w.reshape(c_in, c_out * k)).reshape(batch, l_in, c_out, k)
+    full = (l_in - 1) * stride + k
+    buf = np.zeros((batch, c_out, full))
+    for t in range(k):
+        buf[:, :, t: t + stride * l_in: stride] += contrib[:, :, :, t].transpose(0, 2, 1)
+    return buf[:, :, padding: padding + out_len]
+
+
+# Every conv1d_transpose call the conv presets make at seq 127: the
+# generator's three layers (kernel 5, stride 2, padding 1, L -> 2L+1). The
+# input gradients of the critic's three convs run the same three shapes.
+PRESET_TRANSPOSE_SHAPES = [(64, 32, 15), (32, 16, 31), (16, 1, 63)]
+
+
+@pytest.mark.parametrize("batch", [32, 256])
+@pytest.mark.parametrize("cin,cout,length", PRESET_TRANSPOSE_SHAPES)
+def test_conv1d_transpose_keeps_bits_at_preset_shapes(batch, cin, cout, length, rng):
+    # the O*k-row gemm sums in another order than the row gemm it replaced,
+    # which on other shapes can move the last bits; at these shapes it must
+    # not, so the presets' artifacts stay byte-identical
+    x = rng.standard_normal((batch, cin, length))
+    w = rng.standard_normal((cin, cout, 5)) * 0.02
+    out_len = 2 * length + 1
+    got = ad._conv1d_transpose_raw(x, w, 2, 1, out_len)
+    np.testing.assert_array_equal(bits(got), bits(conv1d_transpose_row_gemm(x, w, 2, 1, out_len)))
+
+
 def test_conv_builds_each_im2col_once(monkeypatch, rng):
     # conv1d's forward im2col of x serves its kernel gradient too, and
     # conv1d_transpose's backward builds the im2col of g once for both

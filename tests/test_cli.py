@@ -25,6 +25,7 @@ REPORT_KEY_ORDER = [
 
 TRAIN_FLAGS = ["--variant", "mlp_gan", "--epochs", "1", "--batch-size", "8",
                "--seq-len", "8", "--latent-dim", "4", "--seed", "5"]
+NOT_UTF8 = b"\xff\xfeindex,log_return\n0,0.01\n"
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,10 @@ class TestTrainCommand:
             capsys.readouterr()
             assert main(base + ["--config", str(cfg_path)]) == 2
             assert key in capsys.readouterr().err
+        # a conv preset needs a seq_len long enough for three stride-2 stages
+        for variant, seq_len in (("dcgan1d", "20"), ("wgan_gp", "31")):
+            assert main(base + ["--variant", variant, "--seq-len", seq_len]) == 2
+            assert "too short" in capsys.readouterr().err
 
     def test_exit_2_on_unknown_config_key(self, tmp_path, work):
         cfg_path = tmp_path / "cfg.json"
@@ -164,6 +169,14 @@ class TestTrainCommand:
         assert main(["train", "--data", str(bad_day),
                      "--out", str(tmp_path)] + TRAIN_FLAGS) == 3
         assert "row 30: invalid ISO date '2021-02-29'" in capsys.readouterr().err
+        # files that are not UTF-8, as data and as config
+        not_utf8 = tmp_path / "not_utf8.csv"
+        not_utf8.write_bytes(NOT_UTF8)
+        assert main(["train", "--data", str(not_utf8),
+                     "--out", str(tmp_path)] + TRAIN_FLAGS) == 3
+        assert main(["train", "--data", str(work["data"]), "--config", str(not_utf8),
+                     "--out", str(tmp_path)] + TRAIN_FLAGS) == 3
+        assert capsys.readouterr().err.count("invalid start byte") == 2
 
     def test_exit_3_on_bad_resume_checkpoint(self, work, tmp_path):
         assert main(["train", "--resume", str(tmp_path / "gone.json"),
@@ -230,6 +243,10 @@ class TestGenerateCommand:
 
     def test_exit_3_on_missing_checkpoint(self, tmp_path):
         assert main(["generate", "--checkpoint", str(tmp_path / "gone.json"),
+                     "--n", "4", "--out", str(tmp_path)]) == 3
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(NOT_UTF8)
+        assert main(["generate", "--checkpoint", str(not_utf8),
                      "--n", "4", "--out", str(tmp_path)]) == 3
 
 
@@ -340,6 +357,14 @@ class TestEvaluateCommand:
     def test_exit_3_on_missing_series(self, work, tmp_path):
         assert main(["evaluate", "--candidate", str(tmp_path / "gone.csv"),
                      "--reference", str(work["big_a"]),
+                     "--out", str(tmp_path)]) == 3
+        not_utf8 = tmp_path / "not_utf8.csv"
+        not_utf8.write_bytes(NOT_UTF8)
+        assert main(["evaluate", "--candidate", str(not_utf8),
+                     "--reference", str(work["big_a"]),
+                     "--out", str(tmp_path)]) == 3
+        assert main(["evaluate", "--candidate", str(work["big_a"]),
+                     "--reference", str(not_utf8),
                      "--out", str(tmp_path)]) == 3
 
     def test_exit_3_on_short_series(self, work, tmp_path):
