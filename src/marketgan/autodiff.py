@@ -5,20 +5,26 @@ inputs and a backward closure; the nodes reachable from a loss are the
 recording that backward() consumes. Backward closures are written in terms
 of the ops in this module, so gradients themselves can be recorded and
 differentiated again (needed for gradient penalties). All arithmetic is
-float64, and NaN/inf never propagates silently: a forward op or tensor
-construction that produces a non-finite value raises NonFiniteError naming
-the op, and a reverse sweep raises it when a gradient it returns is not
-finite (the ops a sweep runs are not screened one by one).
+float64, and NaN/inf never propagates silently: a tensor construction or
+a forward op that can produce a non-finite value raises NonFiniteError
+naming the op when it does, and a reverse sweep raises it when a gradient
+it returns is not finite (the ops a sweep runs are not screened one by
+one). The ops in _FINITE_PRESERVING (neg, clip, the shape ops and the
+bounded activations) are not screened: their output is finite whenever
+their inputs are, and every input was screened when it was made.
 
-Four ops are fused, each one recorded op with a closed-form backward:
+Five ops are fused, each one recorded op with a closed-form backward:
 linear() is a dense layer x @ w.T + b, batch_norm() normalizes with batch
-statistics, softmax() is the stable exp(x - max) / sum(exp(x - max)) and
-self_attention() is a whole self-attention layer. Their backward closures
-ask whether the sweep records: a first-order sweep reads what the forward
-pass kept (and forms the dense-layer gradients with numpy directly), while
-a recording sweep (grad with create_graph) rebuilds it from the inputs with
-the ops above, so every gradient can be differentiated again. A non-finite
-value formed inside a fused op is reported as that op.
+statistics, batch_norm_inference() with frozen ones, softmax() is the
+stable exp(x - max) / sum(exp(x - max)) and self_attention() is a whole
+self-attention layer. Their backward closures ask whether the sweep
+records: a first-order sweep reads what the forward pass kept (and forms
+the dense-layer gradients with numpy directly), while a recording sweep
+(grad with create_graph) rebuilds it from the inputs with the ops above,
+so every gradient can be differentiated again. A non-finite value formed
+inside a fused op is reported as that op. Gradient masks (relu, leaky_relu,
+clip) are formed only when a backward closure runs, so a forward pass
+under no_grad allocates none.
 
 The reverse sweep computes only the branches that lead to its targets (the
 tensors grad() was asked about, or the leaves backward() fills): a node
@@ -66,6 +72,18 @@ _SEQ = itertools.count()
 # sweep forms: div's gradient g*a / (b*b) reads 0 where b*b overflows to
 # inf, where a per-op check would have raised.
 _SWEEPING = False
+
+# Outside a sweep, _record screens every op's output except these, whose
+# output is finite whenever their inputs are. No detection is lost: every
+# input was screened when it became a tensor (by construction or by the op
+# that made it), so a non-finite value can only be born in a screened op.
+# A value written into ``.data`` after that screen is caught by the first
+# screened op that reads it (linear, the convs, batch norm, self_attention,
+# add), which may then be named instead of a finite-preserving op before it.
+_FINITE_PRESERVING = frozenset({
+    "neg", "clip", "reshape", "transpose", "broadcast_to",
+    "relu", "leaky_relu", "tanh", "sigmoid", "softmax",
+})
 
 
 class no_grad:
@@ -212,7 +230,8 @@ def _as_tensor(x) -> Tensor:
 
 
 def _record(op: str, out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
-    _check_finite(out_data, op)
+    if op not in _FINITE_PRESERVING:
+        _check_finite(out_data, op)
     requires = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -368,10 +387,9 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ValueError(f"clip: lo={lo} must be < hi={hi}")
     out = np.clip(a.data, lo, hi)
-    mask = Tensor(((a.data > lo) & (a.data < hi)).astype(np.float64))
 
     def backward_fn(g, _need):
-        return (mul(g, mask),)
+        return (mul(g, Tensor(((a.data > lo) & (a.data < hi)).astype(np.float64))),)
 
     return _record("clip", out, (a,), backward_fn)
 
@@ -511,10 +529,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    mask = Tensor((a.data > 0).astype(np.float64))
 
     def backward_fn(g, _need):
-        return (mul(g, mask),)
+        return (mul(g, Tensor((a.data > 0).astype(np.float64))),)
 
     return _record("relu", np.maximum(a.data, 0.0), (a,), backward_fn)
 
@@ -528,10 +545,9 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     # np.where(x > 0, x, alpha * x) bit for bit without its mispredictions
     slope_data = np.maximum((a.data > 0).astype(np.float64), alpha)
     out = a.data * slope_data
-    slope = Tensor(slope_data)
 
     def backward_fn(g, _need):
-        return (mul(g, slope),)
+        return (mul(g, Tensor(slope_data)),)
 
     return _record("leaky_relu", out, (a,), backward_fn)
 
@@ -778,6 +794,8 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     ``x`` is [B,O,L], kernels are [O,C,k], output is [B,C,L_out] with
     L_out = (L-1)*stride - 2*padding + k unless ``output_length`` overrides
     it (gradients of strided convolutions need the longer original length).
+    An ``output_length`` that a conv1d with these arguments would not map
+    back onto L raises ShapeError.
     """
     stride, padding = _check_conv_args(stride, padding)
     x3, rank = _promote_conv_input(_as_tensor(x))
@@ -794,6 +812,11 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         out_len = int(output_length)
         if out_len < 1:
             raise ShapeError(f"conv1d_transpose: output_length must be >= 1, got {out_len}")
+        if (out_len + 2 * padding < k
+                or conv_output_length(out_len, k, stride, padding) != x3.shape[2]):
+            raise ShapeError(
+                f"conv1d_transpose: output_length {out_len} does not conv back to input "
+                f"length {x3.shape[2]} with kernel {k}, stride {stride}, padding {padding}")
     out = _conv1d_transpose_raw(x3.data, w3.data, stride, padding, out_len)
 
     def backward_fn(g, need):
@@ -835,7 +858,8 @@ def _conv1d_kgrad(x3: Tensor, g3: Tensor, stride: int, padding: int, k: int,
 #
 # Training-mode batch norm is one recorded op whose backward is the closed
 # form of Ioffe & Szegedy (2015), written with the ops above so it can be
-# differentiated again. Inference mode is a plain affine map of constants.
+# differentiated again. Inference mode is one recorded op too: a fixed
+# per-feature affine map of the frozen statistics.
 # ---------------------------------------------------------------------
 
 def _feature_layout(x: Tensor, op: str):
@@ -907,15 +931,41 @@ def batch_norm_inference(x: Tensor, gamma: Tensor, beta: Tensor,
                          running_mean: np.ndarray, running_var: np.ndarray,
                          eps: float = 1e-5) -> Tensor:
     """Affine normalization of [B,F] or [B,C,L] input with frozen
-    per-feature statistics. The running mean and variance are constants;
-    gradients flow to x, gamma, and beta."""
-    x = _as_tensor(x)
-    _, bshape = _feature_layout(x, "batch_norm_inference")
-    inv = Tensor((1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps))
-                 .reshape(bshape))
-    centered = sub(x, Tensor(np.asarray(running_mean, dtype=np.float64).reshape(bshape)))
-    gamma_b = reshape(_as_tensor(gamma), bshape)
-    return add(mul(centered, mul(gamma_b, inv)), reshape(_as_tensor(beta), bshape))
+    per-feature statistics, as one recorded op: out = (x - mean) *
+    (gamma * inv) + beta with inv = 1/sqrt(var + eps), formed in that order
+    so it has the bits of the composite of sub, mul and add.
+
+    The running mean and variance are constants; gradients flow to x, gamma
+    and beta. The backward builds them with module ops in the composite's
+    order, g * (gamma * inv), sum(g * (x - mean)) * inv and sum(g), so a
+    recording sweep (create_graph) can differentiate them again.
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    axes, bshape = _feature_layout(x, "batch_norm_inference")
+    mean = np.asarray(running_mean, dtype=np.float64)
+    var = np.asarray(running_var, dtype=np.float64)
+    features = x.shape[1]
+    if any(a.size != features for a in (gamma, beta, mean, var)):
+        raise ShapeError(f"batch_norm_inference: gamma {gamma.shape}, beta {beta.shape}, "
+                         f"mean {mean.shape} and variance {var.shape} need {features} "
+                         f"entries")
+    mean = mean.reshape(bshape)
+    inv = (1.0 / np.sqrt(var + eps)).reshape(bshape)
+    out = x.data - mean
+    out *= gamma.data.reshape(bshape) * inv
+    out += beta.data.reshape(bshape)
+
+    def backward_fn(g, need):
+        inv_t = Tensor(inv)
+        gx = mul(g, mul(reshape(gamma, bshape), inv_t)) if need[0] else None
+        gg = None
+        if need[1]:
+            g_centered = tsum(mul(g, sub(x, Tensor(mean))), axis=axes, keepdims=True)
+            gg = reshape(mul(g_centered, inv_t), gamma.shape)
+        gb = reshape(tsum(g, axis=axes), beta.shape) if need[2] else None
+        return gx, gg, gb
+
+    return _record("batch_norm_inference", out, (x, gamma, beta), backward_fn)
 
 
 # ---------------------------------------------------------------------

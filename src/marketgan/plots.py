@@ -6,6 +6,7 @@ coordinates are formatted with a fixed precision.
 """
 
 import csv
+import math
 
 from .market_data import DataError, atomic_write_text, open_input
 
@@ -44,12 +45,35 @@ def _read_rows(path, expected_header):
             f"plot data {path} has header {header}, expected {tuple(expected_header)}")
     if len(rows) < 2:
         raise DataError(f"plot data {path} has a header but no rows")
+    for n, row in enumerate(rows[1:], 1):
+        if len(row) != len(header):
+            raise DataError(f"plot data {path} row {n} has {len(row)} fields, "
+                            f"expected {len(header)}")
     return rows[1:]
 
 
-def _cell(text: str):
-    text = text.strip()
-    return None if text == "" else float(text)
+def _column(path, rows, j, skip=()):
+    """Field ``j`` of every row as a float, or None where the cell's text is
+    in ``skip`` (such a point is not drawn). The column is parsed and
+    screened as a whole, and read again only to name the first row whose
+    cell is not a finite number."""
+    try:
+        values = [None if r[j].strip() in skip else float(r[j]) for r in rows]
+        if all(v is None or math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    n, text = next((n, r[j].strip()) for n, r in enumerate(rows, 1)
+                   if not (r[j].strip() in skip or _is_finite(r[j])))
+    raise DataError(f"plot data {path} row {n} field {j + 1} is {text!r}, "
+                    f"not a finite number")
+
+
+def _is_finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def _scale(lo: float, hi: float, out_lo: float, out_hi: float):
@@ -131,10 +155,9 @@ def render_acf(csv_path, svg_path):
     """Bar chart of candidate autocorrelations with the reference series and
     the white-noise confidence band drawn on top."""
     rows = _read_rows(csv_path, ("lag", "candidate", "reference", "band"))
-    lags = [int(float(r[0])) for r in rows]
-    cand = [float(r[1]) for r in rows]
-    ref = [float(r[2]) for r in rows]
-    band = float(rows[0][3])
+    lags = [int(v) for v in _column(csv_path, rows, 0)]
+    cand, ref, bands = (_column(csv_path, rows, j) for j in (1, 2, 3))
+    band = bands[0]
     peak = max(max(abs(v) for v in cand + ref), band) * 1.15
     peak = max(peak, 1e-6)
     parts, sx, sy = _frame(min(lags) - 0.5, max(lags) + 0.5, -peak, peak,
@@ -166,9 +189,7 @@ def render_acf(csv_path, svg_path):
 def render_pdf(csv_path, svg_path):
     """Overlaid empirical densities of candidate and reference returns."""
     rows = _read_rows(csv_path, ("bin_center", "candidate_density", "reference_density"))
-    centers = [float(r[0]) for r in rows]
-    cand = [float(r[1]) for r in rows]
-    ref = [float(r[2]) for r in rows]
+    centers, cand, ref = (_column(csv_path, rows, j) for j in (0, 1, 2))
     top = max(max(cand), max(ref)) * 1.1
     top = max(top, 1e-6)
     parts, sx, sy = _frame(min(centers), max(centers), 0.0, top,
@@ -181,13 +202,11 @@ def render_pdf(csv_path, svg_path):
     _finish(parts, svg_path)
 
 
-def _render_series_pair(csv_path, svg_path, header, title, y_label):
+def _render_series_pair(csv_path, svg_path, header, title, y_label, skip):
     rows = _read_rows(csv_path, header)
-    idx = [int(float(r[0])) for r in rows]
-    cand = [(i, _cell(r[1])) for i, r in zip(idx, rows)]
-    ref = [(i, _cell(r[2])) for i, r in zip(idx, rows)]
-    cand = [(i, v) for i, v in cand if v is not None]
-    ref = [(i, v) for i, v in ref if v is not None]
+    idx = [int(v) for v in _column(csv_path, rows, 0)]
+    cand, ref = ([(i, v) for i, v in zip(idx, _column(csv_path, rows, j, skip))
+                  if v is not None] for j in (1, 2))
     values = [v for _, v in cand] + [v for _, v in ref]
     if not values:
         raise DataError(f"plot data {csv_path} has no numeric values")
@@ -206,13 +225,16 @@ def _render_series_pair(csv_path, svg_path, header, title, y_label):
 
 
 def render_returns(csv_path, svg_path):
+    """Both return series; an empty cell is past the end of the shorter one."""
     _render_series_pair(csv_path, svg_path, ("index", "candidate", "reference"),
-                        "log returns", "log return")
+                        "log returns", "log return", ("",))
 
 
 def render_prices(csv_path, svg_path):
+    """Both price paths; a price past the float64 range, which evaluate
+    writes as inf, is not drawn."""
     _render_series_pair(csv_path, svg_path, ("index", "candidate", "reference"),
-                        "price paths (p0 = 1)", "price")
+                        "price paths (p0 = 1)", "price", ("", "inf"))
 
 
 RENDERERS = {

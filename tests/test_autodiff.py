@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import marketgan.autodiff as ad
+import marketgan.layers as ly
 from conftest import check_gradients, numerical_grad
 
 
@@ -320,6 +321,83 @@ class TestNonFiniteInSweep:
         assert screened == ["backward"] * 4
 
 
+class TestForwardScreening:
+    """Forward ops screen their output only where a non-finite value can
+    be born; the ops of _FINITE_PRESERVING keep finite inputs finite."""
+
+    def test_finite_preserving_set(self):
+        assert ad._FINITE_PRESERVING == frozenset({
+            "neg", "clip", "reshape", "transpose", "broadcast_to",
+            "relu", "leaky_relu", "tanh", "sigmoid", "softmax"})
+
+    def test_eval_forward_screens_only_ops_that_can_overflow(self, monkeypatch):
+        # the twin of test_backward_screens_only_leaf_gradients for the
+        # generate path: no mask is built, and the reshapes, relus and tanh
+        # are not screened
+        gen = ly.build(ly.preset("wgan_gp")[0], init_seed=5)
+        z = ad.Tensor(np.random.default_rng(5).uniform(-1.0, 1.0, (4, 100)))
+        screened = []
+        real = ad._check_finite
+
+        def counting(arr, op):
+            screened.append(op)
+            real(arr, op)
+
+        monkeypatch.setattr(ad, "_check_finite", counting)
+        with ad.no_grad():
+            gen.forward(z, mode="eval")
+        assert screened == ["linear"] + ["batch_norm_inference", "conv1d_transpose",
+                                         "add"] * 3
+
+
+_EXTREMES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
+             2.2250738585072014e-308, -1e-310, 0.0, -0.0]
+
+
+def _sums_finitely(a):
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(a.sum()))
+
+
+# arrays a Tensor accepts: finite, and with a sum that does not overflow
+_finite_arrays = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=3),
+    elements=st.one_of(st.sampled_from(_EXTREMES),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+).filter(_sums_finitely)
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# each finite-preserving op, by its recorded name, as f(x, draw)
+_FINITE_PRESERVING_OPS = {
+    "neg": lambda x, draw: ad.neg(x),
+    "clip": lambda x, draw: ad.clip(x, *sorted(draw(st.lists(_finite, min_size=2, max_size=2,
+                                                              unique=True)))),
+    "reshape": lambda x, draw: ad.reshape(x, (x.size,)),
+    "transpose": lambda x, draw: ad.transpose_last(x),
+    "broadcast_to": lambda x, draw: ad.broadcast_to(x, (2,) + x.shape),
+    "relu": lambda x, draw: ad.relu(x),
+    "leaky_relu": lambda x, draw: ad.leaky_relu(
+        x, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
+    "tanh": lambda x, draw: ad.tanh(x),
+    "sigmoid": lambda x, draw: ad.sigmoid(x),
+    "softmax": lambda x, draw: ad.softmax(x, draw(st.integers(-x.ndim, x.ndim - 1))),
+}
+
+
+# softmax lets x - max overflow to -inf on purpose: that entry weighs 0
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_FINITE_PRESERVING_OPS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_finite_preserving_ops_keep_finite_inputs_finite(name, data):
+    assert name in ad._FINITE_PRESERVING
+    x = ad.Tensor(data.draw(_finite_arrays), requires_grad=True)
+    out = _FINITE_PRESERVING_OPS[name](x, data.draw)
+    assert out._node.op == name
+    assert np.isfinite(out.data).all()
+
+
 ELEMENTWISE_CASES = [
     ("add", lambda a, b: ad.add(a, b).sum(), 2, (3, 4), None),
     ("add_broadcast", lambda a, b: ad.add(a, b).sum(), 2, (3, 4), (4,)),
@@ -550,7 +628,8 @@ def conv1d_transpose_scatter(x, w, stride, padding, out_len):
 def test_conv1d_transpose_matches_scatter_loop(batch, cin, cout, length, k, stride,
                                                padding, extra, contiguous, seed):
     # extra > padding asks for more output than the input reaches, which the
-    # op fills with zeros
+    # op fills with zeros; extra >= stride asks for an output that a conv
+    # would not map back onto the input, which the op rejects
     natural = (length - 1) * stride + k - 2 * padding
     out_len = natural if extra is None else natural + extra
     if out_len < 1:
@@ -560,6 +639,11 @@ def test_conv1d_transpose_matches_scatter_loop(batch, cin, cout, length, k, stri
     if not contiguous:
         x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
     w = rng.standard_normal((cin, cout, k))
+    if extra is not None and extra >= stride:
+        with pytest.raises(ad.ShapeError, match="does not conv back"):
+            ad.conv1d_transpose(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding,
+                                output_length=out_len)
+        return
     with ad.no_grad():
         got = ad.conv1d_transpose(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding,
                                   output_length=None if extra is None else out_len).data
@@ -623,6 +707,19 @@ def test_conv_builds_each_im2col_once(monkeypatch, rng):
     assert calls == []
     ad.backward((y ** 2).sum())
     assert calls == [y.shape]
+
+
+def test_conv1d_transpose_rejects_inconsistent_output_length():
+    # a conv of length 10 with kernel 3 and stride 2 has length 4, not 3;
+    # the backward would fail to reshape, so the forward refuses the call
+    x = ad.Tensor(np.ones((1, 1, 3)), requires_grad=True)
+    w = ad.Tensor(np.ones((1, 1, 3)), requires_grad=True)
+    with pytest.raises(ad.ShapeError, match="output_length 10"):
+        ad.conv1d_transpose(x, w, stride=2, output_length=10)
+    for length in (7, 8):  # both conv back to 3
+        y = ad.conv1d_transpose(x, w, stride=2, output_length=length)
+        ad.backward(y.sum())
+        assert y.shape == (1, 1, length)
 
 
 def test_conv_output_length_formulas():
@@ -786,6 +883,67 @@ class TestFusedBatchNorm:
         with pytest.raises(ad.ShapeError):
             ad.batch_norm(ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.ones(2)),
                           ad.Tensor(np.zeros(3)))
+
+
+def _composite_batch_norm_inference(x, gamma, beta, mean, var, eps=1e-5):
+    """Eval-mode batch norm as the four-op composite it replaced."""
+    per_feature = (1, x.shape[1]) if x.ndim == 2 else (1, x.shape[1], 1)
+    inv = ad.Tensor((1.0 / np.sqrt(var + eps)).reshape(per_feature))
+    centered = ad.sub(x, ad.Tensor(mean.reshape(per_feature)))
+    return ad.add(ad.mul(centered, ad.mul(ad.reshape(gamma, per_feature), inv)),
+                  ad.reshape(beta, per_feature))
+
+
+@st.composite
+def _batch_norm_inference_inputs(draw):
+    x, gamma, beta, weights = draw(_batch_norm_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    features = x.shape[1]
+    stats = rng.normal(0.0, 2.0, features), rng.uniform(0.05, 4.0, features)
+    return [x, gamma, beta], stats, weights
+
+
+class TestFusedBatchNormInference:
+    @settings(max_examples=60, deadline=None)
+    @given(_batch_norm_inference_inputs())
+    def test_matches_composite(self, inputs):
+        arrays, (mean, var), weights = inputs
+        fused = _derivatives(
+            lambda x, g, b: ad.batch_norm_inference(x, g, b, mean, var), arrays, weights)
+        composite = _derivatives(
+            lambda x, g, b: _composite_batch_norm_inference(x, g, b, mean, var),
+            arrays, weights)
+        _assert_matches(fused, composite)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 3, 6)], ids=["2d", "3d"])
+    def test_forward_bits_of_the_composite(self, rng, shape):
+        # x as the transposed view a conv layer hands on, too
+        x = rng.standard_normal(shape)
+        views = [x, np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)]
+        gamma, beta, mean = (rng.standard_normal(3) for _ in range(3))
+        var = rng.uniform(0.1, 2.0, 3)
+        for view in views:
+            with ad.no_grad():
+                got = ad.batch_norm_inference(ad.Tensor(view), ad.Tensor(gamma),
+                                              ad.Tensor(beta), mean, var)
+                ref = _composite_batch_norm_inference(ad.Tensor(view), ad.Tensor(gamma),
+                                                      ad.Tensor(beta), mean, var)
+            np.testing.assert_array_equal(bits(got.data), bits(ref.data))
+
+    def test_is_one_recorded_op(self, rng):
+        ts = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+              for shape in ((4, 3, 5), (3,), (3,))]
+        out = ad.batch_norm_inference(*ts, np.zeros(3), np.ones(3))
+        assert out._node.op == "batch_norm_inference"
+        assert out._node.inputs == tuple(ts)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 3, 3), (3, 2, 3, 3), (3, 3, 2, 3),
+                                       (3, 3, 3, 4)])
+    def test_rejects_size_mismatch(self, sizes):
+        gamma, beta, mean, var = (np.ones(n) for n in sizes)
+        with pytest.raises(ad.ShapeError, match="batch_norm_inference"):
+            ad.batch_norm_inference(ad.Tensor(np.zeros((4, 3))), ad.Tensor(gamma),
+                                    ad.Tensor(beta), mean, var)
 
 
 # ---------------------------------------------------------------------

@@ -414,6 +414,41 @@ class TestReportCommand:
         (evaluated / "acf.csv").write_text("bad,header\n1,2\n")
         assert main(["report", "--out", str(evaluated)]) == 3
 
+    @staticmethod
+    def replace_row(path, n, edit):
+        """Rewrite data row ``n`` (1 = the first after the header)."""
+        lines = path.read_text().splitlines()
+        fields = lines[n].split(",")
+        lines[n] = ",".join(edit(fields))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("name,row,edit,message", [
+        ("returns.csv", 3, lambda f: f[:2], "row 3 has 2 fields, expected 3"),
+        ("acf.csv", 2, lambda f: f[:2], "row 2 has 2 fields, expected 4"),
+        ("returns.csv", 4, lambda f: ["inf"] + f[1:], "row 4 field 1 is 'inf'"),
+        ("returns.csv", 5, lambda f: [f[0], "nan", f[2]], "row 5 field 2 is 'nan'"),
+        ("pdf.csv", 6, lambda f: [f[0], f[1], "inf"], "row 6 field 3 is 'inf'"),
+        ("prices.csv", 2, lambda f: [f[0], "nan", f[2]], "row 2 field 2 is 'nan'"),
+        ("acf.csv", 1, lambda f: f[:3] + ["-inf"], "row 1 field 4 is '-inf'"),
+        ("prices.csv", 7, lambda f: ["x"] + f[1:], "row 7 field 1 is 'x'"),
+    ], ids=["returns-ragged", "acf-ragged", "returns-inf-index", "returns-nan", "pdf-inf",
+            "prices-nan", "acf-band-inf", "prices-text-index"])
+    def test_exit_3_on_malformed_plot_data(self, evaluated, capsys, name, row, edit,
+                                           message):
+        # a ragged row, or a cell that is not a finite number, exits 3 with a
+        # message naming the file and row instead of a traceback or nan coordinates
+        self.replace_row(evaluated / name, row, edit)
+        capsys.readouterr()
+        assert main(["report", "--out", str(evaluated)]) == 3
+        err = capsys.readouterr().err
+        assert name in err and message in err and "Traceback" not in err
+
+    def test_overflowed_prices_are_not_drawn(self, evaluated):
+        # evaluate writes a price past the float64 range as inf
+        self.replace_row(evaluated / "prices.csv", 9, lambda f: [f[0], "inf", f[2]])
+        assert main(["report", "--out", str(evaluated)]) == 0
+        assert "nan" not in (evaluated / "prices.svg").read_text()
+
 
 class TestTopLevel:
     def test_unknown_command_exits_2(self):
