@@ -677,35 +677,12 @@ def _check_conv_args(stride, padding):
     return int(stride), int(padding)
 
 
-def _promote_conv_input(x: Tensor):
-    """Lift 1-D [L] or 2-D [C,L] input to 3-D [B,C,L], remembering the rank."""
-    rank = x.ndim
-    if rank == 1:
-        return reshape(x, (1, 1, x.shape[0])), rank
-    if rank == 2:
-        return reshape(x, (1,) + x.shape), rank
-    if rank == 3:
-        return x, rank
-    raise ShapeError(f"conv input must be 1-D, 2-D or 3-D, got {x.shape}")
-
-
-def _promote_kernel(w: Tensor):
-    if w.ndim == 1:
-        return reshape(w, (1, 1, w.shape[0]))
-    if w.ndim == 3:
-        return w
-    raise ShapeError(f"kernel must be 1-D [k] or 3-D [out,in,k], got {w.shape}")
-
-
-def _demote_conv_output(y: Tensor, rank: int) -> Tensor:
-    if rank == 3:
-        return y
-    if rank == 2:
-        return reshape(y, y.shape[1:])
-    # 1-D input: drop batch, and channel too when there is only one
-    if y.shape[1] == 1:
-        return reshape(y, (y.shape[2],))
-    return reshape(y, y.shape[1:])
+def _conv_operands(x, w, op: str):
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim != 3 or w.ndim != 3:
+        raise ShapeError(f"{op}: input must be 3-D [B,C,L] and kernel 3-D [O,C,k], "
+                         f"got {x.shape} and {w.shape}")
+    return x, w
 
 
 def _conv1d_windows(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
@@ -754,20 +731,15 @@ def _conv1d_transpose_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: in
 
 
 def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation of ``x`` [B,C,L] with kernels ``w`` [O,C,k].
-
-    1-D and 2-D inputs are treated as single-sample convenience forms and
-    the output is returned at the matching rank.
-    """
+    """1-D cross-correlation of ``x`` [B,C,L] with kernels ``w`` [O,C,k]."""
     stride, padding = _check_conv_args(stride, padding)
-    x3, rank = _promote_conv_input(_as_tensor(x))
-    w3 = _promote_kernel(_as_tensor(w))
-    if x3.shape[1] != w3.shape[1]:
+    x, w = _conv_operands(x, w, "conv1d")
+    if x.shape[1] != w.shape[1]:
         raise ShapeError(
-            f"conv1d: input has {x3.shape[1]} channels but kernel expects {w3.shape[1]}"
+            f"conv1d: input has {x.shape[1]} channels but kernel expects {w.shape[1]}"
         )
-    cols = _im2col(x3.data, w3.shape[2], stride, padding)
-    return _demote_conv_output(_conv1d(x3, w3, stride, padding, cols), rank)
+    cols = _im2col(x.data, w.shape[2], stride, padding)
+    return _conv1d(x, w, stride, padding, cols)
 
 
 def _conv1d(x3: Tensor, w3: Tensor, stride: int, padding: int, cols: np.ndarray) -> Tensor:
@@ -798,36 +770,34 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     back onto L raises ShapeError.
     """
     stride, padding = _check_conv_args(stride, padding)
-    x3, rank = _promote_conv_input(_as_tensor(x))
-    w3 = _promote_kernel(_as_tensor(w))
-    if x3.shape[1] != w3.shape[0]:
+    x, w = _conv_operands(x, w, "conv1d_transpose")
+    if x.shape[1] != w.shape[0]:
         raise ShapeError(
-            f"conv1d_transpose: input has {x3.shape[1]} channels but kernel has "
-            f"{w3.shape[0]} input channels"
+            f"conv1d_transpose: input has {x.shape[1]} channels but kernel has "
+            f"{w.shape[0]} input channels"
         )
-    k = w3.shape[2]
+    k = w.shape[2]
     if output_length is None:
-        out_len = conv_transpose_output_length(x3.shape[2], k, stride, padding)
+        out_len = conv_transpose_output_length(x.shape[2], k, stride, padding)
     else:
         out_len = int(output_length)
         if out_len < 1:
             raise ShapeError(f"conv1d_transpose: output_length must be >= 1, got {out_len}")
         if (out_len + 2 * padding < k
-                or conv_output_length(out_len, k, stride, padding) != x3.shape[2]):
+                or conv_output_length(out_len, k, stride, padding) != x.shape[2]):
             raise ShapeError(
                 f"conv1d_transpose: output_length {out_len} does not conv back to input "
-                f"length {x3.shape[2]} with kernel {k}, stride {stride}, padding {padding}")
-    out = _conv1d_transpose_raw(x3.data, w3.data, stride, padding, out_len)
+                f"length {x.shape[2]} with kernel {k}, stride {stride}, padding {padding}")
+    out = _conv1d_transpose_raw(x.data, w.data, stride, padding, out_len)
 
     def backward_fn(g, need):
         # both gradients are gemms over the windows of g: build them once
         cols = _im2col(g.data, k, stride, padding)
-        gx = _conv1d(g, w3, stride, padding, cols) if need[0] else None
-        gw = _conv1d_kgrad(g, x3, stride, padding, k, cols) if need[1] else None
+        gx = _conv1d(g, w, stride, padding, cols) if need[0] else None
+        gw = _conv1d_kgrad(g, x, stride, padding, k, cols) if need[1] else None
         return gx, gw
 
-    y = _record("conv1d_transpose", out, (x3, w3), backward_fn)
-    return _demote_conv_output(y, rank)
+    return _record("conv1d_transpose", out, (x, w), backward_fn)
 
 
 def _conv1d_kgrad(x3: Tensor, g3: Tensor, stride: int, padding: int, k: int,

@@ -126,9 +126,12 @@ def _window_stride(value) -> int:
     return stride
 
 
-def _merged_train_config(args) -> tuple[TrainConfig, str, int]:
-    """Config file first, flags override. Returns (config, data path, stride)."""
-    flat = _load_config_file(args.config) if args.config else {}
+def _merged_train_config(args, base: dict) -> tuple[TrainConfig, str, int]:
+    """``base``, then the config file, then the flags. ``base`` is {} for a
+    fresh run; on resume it is the checkpoint's flat config, and only its
+    epochs may change. Returns (config, data path, stride)."""
+    flat = dict(base)
+    flat.update(_load_config_file(args.config) if args.config else {})
     overrides = {
         "gan_variant": args.variant,
         "epochs": args.epochs,
@@ -152,6 +155,12 @@ def _merged_train_config(args) -> tuple[TrainConfig, str, int]:
     stride = _window_stride(stride)
     try:
         config = TrainConfig.from_flat(flat)
+        merged = config.to_flat()
+        changed = sorted(k for k in base if k != "epochs" and merged[k] != base[k])
+        if changed:
+            raise CliError(EXIT_CONFIG, "--resume cannot change "
+                           + ", ".join(f"{k} ({base[k]!r} -> {merged[k]!r})"
+                                       for k in changed))
         config.validate()
     except (ValueError, TypeError) as exc:
         raise CliError(EXIT_CONFIG, f"bad training config: {exc}") from exc
@@ -168,29 +177,19 @@ def _loss_csv_text(history) -> str:
 
 def cmd_train(args) -> int:
     started = _utc_now()
+    state = None
     if args.resume:
         try:
             state = load_checkpoint(args.resume)
         except CheckpointError as exc:
             raise CliError(EXIT_DATA, f"bad checkpoint: {exc}") from exc
-        if args.epochs is not None:
-            if args.epochs < state.epoch:
-                raise CliError(EXIT_CONFIG,
-                               f"--epochs {args.epochs} is before the checkpoint's "
-                               f"epoch {state.epoch}")
-            state.config.epochs = int(args.epochs)
-        config = state.config
-        flat = _load_config_file(args.config) if args.config else {}
-        data_path = args.data or flat.get("data")
-        stride = args.window_stride
-        if stride is None:
-            stride = flat.get("window_stride", 1)
-        stride = _window_stride(stride)
-        if data_path is None:
-            raise CliError(EXIT_CONFIG, "no input data: pass --data or a config 'data' key")
-    else:
-        state = None
-        config, data_path, stride = _merged_train_config(args)
+    base = state.config.to_flat() if state is not None else {}
+    config, data_path, stride = _merged_train_config(args, base)
+    if state is not None:
+        if config.epochs < state.epoch:
+            raise CliError(EXIT_CONFIG, f"epochs {config.epochs} is before the "
+                                        f"checkpoint's epoch {state.epoch}")
+        state.config.epochs = config.epochs
     out = _ensure_out_dir(args.out)
     try:
         returns = load_return_series(data_path)

@@ -219,7 +219,8 @@ class SelfAttention(LayerSpec, kind="self_attention"):
                 ("wv", (c, c, 1), None), ("gamma_attn", (), 0.0)]  # starts as identity
 
     def forward(self, x, params, *_):
-        return attention_forward(x, *params)
+        # out = x + gamma_attn * (V @ map), one recorded op
+        return ad.self_attention(x, *params)
 
 
 @dataclass
@@ -236,22 +237,10 @@ class Reshape(LayerSpec, kind="reshape"):
         return ad.reshape(x, (x.shape[0],) + self.shape)
 
 
-# convenience constructors, used by the presets and handy in tests
-dense = Dense
-conv = Conv1d
-conv_transpose = Conv1dTranspose
-batch_norm = BatchNorm
-act = Activation
-
-
 def self_attention(channels, query_channels=0):
     if query_channels == 0:  # the default; SelfAttention rejects negative values
         query_channels = max(1, channels // 8)
     return SelfAttention(channels, query_channels)
-
-
-def reshape_to(*shape):
-    return Reshape(shape)
 
 
 @dataclass
@@ -415,14 +404,6 @@ class Network:
         return net
 
 
-def attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                      gamma_attn: Tensor) -> Tensor:
-    """Self-attention over positions of a [B, C, L] feature map, gated into
-    a residual: out = x + gamma_attn * (V @ map). One recorded op; see
-    autodiff.self_attention."""
-    return ad.self_attention(x, wq, wk, wv, gamma_attn)
-
-
 def build(spec: NetworkSpec, init_seed: int) -> Network:
     """Instantiate parameters for a validated spec, each as its layer's
     param_shapes() says. Deterministic for a given seed."""
@@ -458,12 +439,6 @@ class NoiseSource:
         else:
             z = self.rng.standard_normal(size=(batch, self.dim))
         return Tensor(z)
-
-    def state(self) -> dict:
-        return self.rng.bit_generator.state
-
-    def set_state(self, state: dict):
-        self.rng.bit_generator.state = state
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +479,8 @@ def _mlp_generator(seq_len, latent_dim):
     layers = []
     prev = latent_dim
     for w in widths:
-        layers.append(dense(prev, w))
-        layers.append(act("tanh"))
+        layers.append(Dense(prev, w))
+        layers.append(Activation("tanh"))
         prev = w
     return NetworkSpec(layers, (latent_dim,), "generator")
 
@@ -515,11 +490,11 @@ def _mlp_discriminator(seq_len, role="discriminator"):
     layers = []
     prev = seq_len
     for w in widths:
-        layers.append(dense(prev, w))
-        layers.append(act("tanh"))
+        layers.append(Dense(prev, w))
+        layers.append(Activation("tanh"))
         prev = w
-    layers.append(dense(prev, 1))
-    layers.append(act("sigmoid" if role == "discriminator" else "linear"))
+    layers.append(Dense(prev, 1))
+    layers.append(Activation("sigmoid" if role == "discriminator" else "linear"))
     return NetworkSpec(layers, (seq_len,), role)
 
 
@@ -531,23 +506,23 @@ def _conv_generator(seq_len, latent_dim, with_attention=False):
     lengths, kernels = plan_conv_lengths(seq_len)
     c = _G_CHANNELS
     layers = [
-        dense(latent_dim, c[0] * lengths[0]),
-        reshape_to(c[0], lengths[0]),
-        batch_norm(c[0]),
-        act("relu"),
+        Dense(latent_dim, c[0] * lengths[0]),
+        Reshape((c[0], lengths[0])),
+        BatchNorm(c[0]),
+        Activation("relu"),
     ]
     chain = list(c[1:]) + [1]
     for step, out_ch in enumerate(chain):
         in_ch = c[step]
-        layers.append(conv_transpose(in_ch, out_ch, kernels[step], stride=2, padding=1))
+        layers.append(Conv1dTranspose(in_ch, out_ch, kernels[step], stride=2, padding=1))
         if out_ch == 1:
-            layers.append(act("tanh"))
+            layers.append(Activation("tanh"))
         else:
-            layers.append(batch_norm(out_ch))
-            layers.append(act("relu"))
+            layers.append(BatchNorm(out_ch))
+            layers.append(Activation("relu"))
             if with_attention and step == len(chain) - 2:
                 layers.append(self_attention(out_ch))
-    layers.append(reshape_to(seq_len))
+    layers.append(Reshape((seq_len,)))
     return NetworkSpec(layers, (latent_dim,), "generator")
 
 
@@ -557,20 +532,20 @@ def _conv_discriminator(seq_len, role="discriminator", use_batch_norm=True,
     down_kernels = tuple(reversed(kernels))
     down_lengths = tuple(reversed(lengths))
     c = _D_CHANNELS
-    layers = [reshape_to(1, seq_len)]
+    layers = [Reshape((1, seq_len))]
     prev_ch = 1
     for step, out_ch in enumerate(c):
-        layers.append(conv(prev_ch, out_ch, down_kernels[step], stride=2, padding=1))
+        layers.append(Conv1d(prev_ch, out_ch, down_kernels[step], stride=2, padding=1))
         if use_batch_norm and step > 0:
-            layers.append(batch_norm(out_ch))
-        layers.append(act("leaky_relu", alpha=0.2))
+            layers.append(BatchNorm(out_ch))
+        layers.append(Activation("leaky_relu", alpha=0.2))
         if with_attention and step == 1:
             layers.append(self_attention(out_ch))
         prev_ch = out_ch
     flat = c[-1] * down_lengths[-1]
-    layers.append(reshape_to(flat))
-    layers.append(dense(flat, 1))
-    layers.append(act("sigmoid" if role == "discriminator" else "linear"))
+    layers.append(Reshape((flat,)))
+    layers.append(Dense(flat, 1))
+    layers.append(Activation("sigmoid" if role == "discriminator" else "linear"))
     return NetworkSpec(layers, (seq_len,), role)
 
 

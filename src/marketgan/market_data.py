@@ -60,7 +60,6 @@ RETURN_HEADER = ("index", "log_return")
 class PriceSeries:
     dates: list
     prices: np.ndarray
-    symbol: str = ""
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=np.float64)
@@ -85,9 +84,6 @@ class PriceSeries:
 @dataclass
 class ReturnSeries:
     values: np.ndarray
-    symbol: str = ""
-    start_date: str = ""
-    end_date: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -133,7 +129,7 @@ def _parse_iso_date(text: str, row: int) -> str:
     return text
 
 
-def ingest_csv(path, symbol: str = "") -> PriceSeries:
+def ingest_csv(path) -> PriceSeries:
     """Read a `date,adjusted_close` CSV into a validated PriceSeries.
 
     Row numbers in error messages count the header as row 1.
@@ -172,24 +168,20 @@ def ingest_csv(path, symbol: str = "") -> PriceSeries:
             prices.append(price)
     if not dates:
         raise DataError(f"{path}: no data rows")
-    return PriceSeries(dates, np.array(prices), symbol=symbol)
+    return PriceSeries(dates, np.array(prices))
 
 
 def to_log_returns(p) -> ReturnSeries:
     """r_t = ln(p_t / p_{t-1}); accepts a PriceSeries or a raw price array."""
     if isinstance(p, PriceSeries):
         prices = p.prices
-        meta = {"symbol": p.symbol,
-                "start_date": p.dates[0] if p.dates else "",
-                "end_date": p.dates[-1] if p.dates else ""}
     else:
         prices = np.asarray(p, dtype=np.float64)
         if (prices <= 0).any():
             raise DataError("prices must be positive")
-        meta = {}
     if len(prices) < 2:
         raise DataError("need at least 2 prices to form returns")
-    return ReturnSeries(np.diff(np.log(prices)), **meta)
+    return ReturnSeries(np.diff(np.log(prices)))
 
 
 def normalize_and_window(r, window_length: int, stride: int = 1) -> WindowedDataset:

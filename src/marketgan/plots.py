@@ -7,6 +7,7 @@ coordinates are formatted with a fixed precision.
 
 import csv
 import math
+import sys
 
 from .market_data import DataError, atomic_write_text, open_input
 
@@ -76,17 +77,33 @@ def _is_finite(text: str) -> bool:
         return False
 
 
+# Axis arithmetic takes differences of quarters (hi / 4 - lo / 4): for finite
+# values they cannot overflow, even when hi - lo would, and dividing by 4 is
+# exact, so every coordinate has the bits of the plain formula.
+
+def _in_range(x: float) -> float:
+    """``x`` clamped to the finite float64 range, for an axis end padded past it."""
+    return max(-sys.float_info.max, min(x, sys.float_info.max))
+
+
 def _scale(lo: float, hi: float, out_lo: float, out_hi: float):
     """Return a closure mapping [lo, hi] affinely onto [out_lo, out_hi]."""
-    span = hi - lo
+    span = hi / 4 - lo / 4
     if span <= 0.0:
-        span = 1.0
+        span = 0.25
     factor = (out_hi - out_lo) / span
+    lo4 = lo / 4
 
     def to_svg(v: float) -> float:
-        return out_lo + (v - lo) * factor
+        return out_lo + (v / 4 - lo4) * factor
 
     return to_svg
+
+
+def _tick(lo: float, hi: float, i: int) -> float:
+    """The i-th of five evenly spaced axis ticks from lo to hi (rounding can
+    carry the last one just past hi, and so past the float64 range)."""
+    return _in_range(4 * (lo / 4 + (hi / 4 - lo / 4) / 4 * i))
 
 
 def _frame(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label):
@@ -107,14 +124,14 @@ def _frame(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label):
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" '
                  f'stroke="{AXIS_COLOR}" stroke-width="1"/>')
     for i in range(5):
-        xv = x_lo + (x_hi - x_lo) * i / 4
+        xv = _tick(x_lo, x_hi, i)
         px = sx(xv)
         parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 4}" '
                      f'stroke="{AXIS_COLOR}" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{y0 + 16}" font-family="monospace" '
                      f'font-size="10" text-anchor="middle" fill="{AXIS_COLOR}">'
                      f'{_tick_label(xv)}</text>')
-        yv = y_lo + (y_hi - y_lo) * i / 4
+        yv = _tick(y_lo, y_hi, i)
         py = sy(yv)
         parts.append(f'<line x1="{x0 - 4}" y1="{_fmt(py)}" x2="{x0}" y2="{_fmt(py)}" '
                      f'stroke="{AXIS_COLOR}" stroke-width="1"/>')
@@ -158,7 +175,7 @@ def render_acf(csv_path, svg_path):
     lags = [int(v) for v in _column(csv_path, rows, 0)]
     cand, ref, bands = (_column(csv_path, rows, j) for j in (1, 2, 3))
     band = bands[0]
-    peak = max(max(abs(v) for v in cand + ref), band) * 1.15
+    peak = _in_range(max(max(abs(v) for v in cand + ref), band) * 1.15)
     peak = max(peak, 1e-6)
     parts, sx, sy = _frame(min(lags) - 0.5, max(lags) + 0.5, -peak, peak,
                            "autocorrelation", "lag", "correlation")
@@ -190,7 +207,7 @@ def render_pdf(csv_path, svg_path):
     """Overlaid empirical densities of candidate and reference returns."""
     rows = _read_rows(csv_path, ("bin_center", "candidate_density", "reference_density"))
     centers, cand, ref = (_column(csv_path, rows, j) for j in (0, 1, 2))
-    top = max(max(cand), max(ref)) * 1.1
+    top = _in_range(max(max(cand), max(ref)) * 1.1)
     top = max(top, 1e-6)
     parts, sx, sy = _frame(min(centers), max(centers), 0.0, top,
                            "return distribution", "log return", "density")
@@ -212,7 +229,7 @@ def _render_series_pair(csv_path, svg_path, header, title, y_label, skip):
         raise DataError(f"plot data {csv_path} has no numeric values")
     lo, hi = min(values), max(values)
     pad = (hi - lo) * 0.05 or max(abs(hi), 1e-6) * 0.05
-    parts, sx, sy = _frame(min(idx), max(idx), lo - pad, hi + pad,
+    parts, sx, sy = _frame(min(idx), max(idx), _in_range(lo - pad), _in_range(hi + pad),
                            title, "index", y_label)
     if ref:
         parts.append(_polyline([(sx(i), sy(v)) for i, v in ref],

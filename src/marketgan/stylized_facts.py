@@ -101,18 +101,6 @@ def confidence_band(n: int, multiplier: float = 2.0) -> float:
     return float(multiplier / np.sqrt(n))
 
 
-def linear_unpredictability_score(r, max_lag: int = 20,
-                                  band_multiplier: float = 2.0) -> float:
-    """Fraction of return autocorrelations (lags 1..max_lag) inside the
-    white-noise confidence band. Near 1 for real returns."""
-    values = _as_values(r)
-    return _fraction_inside(acf(values, max_lag), confidence_band(len(values), band_multiplier))
-
-
-def _fraction_inside(rho: np.ndarray, band: float) -> float:
-    return float((np.abs(rho) < band).mean())
-
-
 def volatility_clustering_score(r, max_lag: int = 20, summary_lags: int = 10):
     """ACF of absolute returns and its short-range mean.
 
@@ -162,16 +150,6 @@ def moments(r) -> Moments:
     m4 = float((d2 * d2).mean())
     return Moments(mean=mean, std=float(np.sqrt(m2)), skewness=m3 / m2 ** 1.5,
                    excess_kurtosis=m4 / m2 ** 2 - 3.0, n=n)
-
-
-def heavy_tails_verdict(r, min_excess_kurtosis: float = 1.0) -> bool:
-    """Tails heavier than Gaussian, proxied by excess kurtosis."""
-    return moments(r).excess_kurtosis > min_excess_kurtosis
-
-
-def gain_loss_asymmetry_verdict(r, max_skewness: float = 0.0) -> bool:
-    """Losses larger than gains, proxied by negative skewness."""
-    return moments(r).skewness < max_skewness
 
 
 def aggregational_gaussianity_profile(r, scales=DEFAULT_SCALES) -> np.ndarray:
@@ -343,7 +321,8 @@ def evaluate(candidate, reference, thresholds: FactThresholds | None = None) -> 
     m = moments(cand)
     rho = acf(cand, t.linear_max_lag)
     band = confidence_band(len(cand), t.acf_band_multiplier)
-    linear_score = _fraction_inside(rho, band)
+    # fraction of return autocorrelations inside the white-noise band
+    linear_score = float((np.abs(rho) < band).mean())
     rho_abs, vol_summary = volatility_clustering_score(
         cand, t.volatility_max_lag, t.volatility_summary_lags)
     profile = aggregational_gaussianity_profile(cand, t.aggregational_scales)

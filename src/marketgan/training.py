@@ -98,8 +98,8 @@ class TrainConfig:
             raise ValueError(f"{self.gan_variant} at seq_len {self.seq_len}: {exc}") from exc
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
-        if self.gp_lambda < 0:
-            raise ValueError("gp_lambda must be >= 0")
+        if not self.gp_lambda >= 0:     # NaN too
+            raise ValueError(f"gp_lambda must be >= 0, got {self.gp_lambda!r}")
         if self.g_loss_variant not in ("saturating", "non_saturating"):
             raise ValueError(f"unknown g_loss_variant {self.g_loss_variant!r}")
         if self.noise_distribution not in ("uniform", "standard_normal"):
@@ -327,7 +327,7 @@ def _d_update(state, real_rows, wasserstein, epoch, record_hook):
         with ad.no_grad():
             fake = state.g_net.forward(z, mode="train", update_stats=False)
         d_real = state.d_net.forward(real, mode="train", update_stats=True)
-        d_fake = state.d_net.forward(Tensor(fake.data), mode="train", update_stats=True)
+        d_fake = state.d_net.forward(fake, mode="train", update_stats=True)
         if wasserstein:
             critic_loss, _ = losses.wasserstein_losses(d_real, d_fake)
             gp, mean_norm = losses.gradient_penalty(
@@ -445,14 +445,6 @@ def _mean_pairwise_distance(x: np.ndarray) -> float:
 # checkpointing
 # ----------------------------------------------------------------------
 
-def _rng_state(rng) -> dict:
-    return rng.bit_generator.state
-
-
-def _set_rng_state(rng, state: dict):
-    rng.bit_generator.state = state
-
-
 def checkpoint_document(state: TrainState) -> dict:
     return {
         "format": CHECKPOINT_FORMAT,
@@ -467,10 +459,10 @@ def checkpoint_document(state: TrainState) -> dict:
         "g_optimizer": state.g_opt.state_dict(),
         "d_optimizer": state.d_opt.state_dict(),
         "rng": {
-            "noise": state.noise.state(),
-            "shuffle": _rng_state(state.shuffle_rng),
-            "gp": _rng_state(state.gp_rng),
-            "diag": _rng_state(state.diag_rng),
+            "noise": state.noise.rng.bit_generator.state,
+            "shuffle": state.shuffle_rng.bit_generator.state,
+            "gp": state.gp_rng.bit_generator.state,
+            "diag": state.diag_rng.bit_generator.state,
         },
     }
 
@@ -573,7 +565,7 @@ def state_from_document(doc: dict) -> TrainState:
         rng_doc = dict(doc["rng"])
     with _reading("rng.noise"):
         noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, 0)
-        noise.set_state(rng_doc["noise"])
+        noise.rng.bit_generator.state = rng_doc["noise"]
     state = TrainState(
         config, nets["generator"], nets["discriminator"],
         opts["g_optimizer"], opts["d_optimizer"], noise,
@@ -583,7 +575,7 @@ def state_from_document(doc: dict) -> TrainState:
     for name, rng in (("shuffle", state.shuffle_rng), ("gp", state.gp_rng),
                       ("diag", state.diag_rng)):
         with _reading(f"rng.{name}"):
-            _set_rng_state(rng, rng_doc[name])
+            rng.bit_generator.state = rng_doc[name]
     state.epoch = epoch
     state.step = step
     return state

@@ -261,7 +261,7 @@ def _norm_and_attention_cases(rng):
         w = rng.uniform(0.5, 1.5, (2, 3, 5))
         cases.append((f"attention q{q}", [x, wq, wk, wv, gate],
                       lambda x, a, b, c, g, w=w:
-                          _wsum(ly.attention_forward(x, a, b, c, g), w)))
+                          _wsum(ad.self_attention(x, a, b, c, g), w)))
     return cases
 
 
@@ -567,7 +567,9 @@ def test_criterion_5_stylized_facts_oracles():
     diffs.append(abs(summary - brute_rho_abs[:10].mean()))
     band = 2.0 / math.sqrt(len(x))
     brute_lin = float((np.abs(_brute_acf(x, 20)) < band).mean())
-    diffs.append(abs(sf.linear_unpredictability_score(x, 20) - brute_lin))
+    # the score evaluate reports; scales short enough for 400 values
+    rep_x = sf.evaluate(x, x, sf.FactThresholds(aggregational_scales=(1, 5)))
+    diffs.append(abs(rep_x.linear_score - brute_lin))
     a2 = rng.normal(0.0, 1.0, 120)
     b2 = rng.standard_t(5, 90)
     diffs.append(abs(sf.ks_statistic(a2, b2) - _brute_ks(a2, b2)))
@@ -615,11 +617,11 @@ def test_criterion_5_stylized_facts_oracles():
 def test_criterion_6_fixture_reproduction():
     r = md.load_return_series(md.fixture_path()).values
     m = sf.moments(r)
-    lin = sf.linear_unpredictability_score(r)
     rho_abs, vol_summary = sf.volatility_clustering_score(r)
     lev = sf.leverage_effect_score(r, 3)
     profile = sf.aggregational_gaussianity_profile(r)
     report = sf.evaluate(r, r)
+    lin = report.linear_score
 
     frozen = [
         (m.mean, 8.101158578085222e-05),

@@ -729,21 +729,6 @@ def test_conv_output_length_formulas():
     assert ad.conv_transpose_output_length(63, 5, 2, 1) == 127
 
 
-def test_conv1d_rank_conveniences(rng):
-    # 1-D input is a bare series [L]; 2-D input is one sample [C, L]
-    x1 = rng.standard_normal(10)
-    w1 = rng.standard_normal((2, 1, 3))
-    x2 = rng.standard_normal((2, 10))
-    w2 = rng.standard_normal((3, 2, 3))
-    with ad.no_grad():
-        out1 = ad.conv1d(ad.Tensor(x1), ad.Tensor(w1), padding=1)
-        out2 = ad.conv1d(ad.Tensor(x2), ad.Tensor(w2), padding=1)
-        full = ad.conv1d(ad.Tensor(x2.reshape(1, 2, 10)), ad.Tensor(w2), padding=1)
-    assert out1.shape == (2, 10)
-    assert out2.shape == (3, 10)
-    np.testing.assert_allclose(out2.data, full.data[0])
-
-
 def test_conv1d_rejects_bad_arguments(rng):
     x = ad.Tensor(rng.standard_normal((1, 2, 8)))
     w = ad.Tensor(rng.standard_normal((3, 2, 3)))
@@ -755,6 +740,12 @@ def test_conv1d_rejects_bad_arguments(rng):
         ad.conv1d(x, ad.Tensor(rng.standard_normal((3, 4, 3))))
     with pytest.raises(ad.ShapeError):
         ad.conv1d(x, ad.Tensor(rng.standard_normal((3, 2, 20))))
+    # only [B,C,L] input and [O,C,k] kernels: no 1-D or 2-D input, no 1-D kernel
+    for bad_x, bad_w in ((rng.standard_normal(8), w.data),
+                         (rng.standard_normal((2, 8)), w.data),
+                         (x.data, rng.standard_normal(3))):
+        with pytest.raises(ad.ShapeError):
+            ad.conv1d(ad.Tensor(bad_x), ad.Tensor(bad_w))
 
 
 @pytest.mark.parametrize("shape", [(16, 5), (6, 5, 4)], ids=["2d", "3d"])

@@ -8,6 +8,7 @@ import base64
 import datetime
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -190,6 +191,35 @@ class TestTrainCommand:
         assert main(["train", "--resume", str(first / "checkpoint.json"),
                      "--data", str(work["data"]), "--epochs", "1",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--variant", "wgan_gp"], "gan_variant"),
+        (["--seed", "99"], "seed"),
+    ])
+    def test_exit_2_on_resume_flag_that_differs(self, work, tmp_path, capsys, flags, key):
+        capsys.readouterr()
+        assert main(["train", "--resume", str(work["ckpt"]), "--data", str(work["data"]),
+                     "--out", str(tmp_path)] + flags) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.json").exists()
+
+    def test_exit_2_on_resume_config_with_unknown_key(self, work, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gan_variant": "sagan1d", "bogus_key": 1,
+                                        "epochs": -5}))
+        capsys.readouterr()
+        assert main(["train", "--resume", str(work["ckpt"]), "--data", str(work["data"]),
+                     "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "bogus_key" in capsys.readouterr().err
+
+    def test_resume_accepts_the_checkpoints_own_config(self, work, tmp_path):
+        flat = json.loads(work["ckpt"].read_text())["config"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(flat, data=str(work["data"]))))
+        out = tmp_path / "out"
+        assert main(["train", "--resume", str(work["ckpt"]), "--config", str(cfg_path),
+                     "--epochs", "2", "--out", str(out)]) == 0
+        assert json.loads((out / "checkpoint.json").read_text())["epoch"] == 2
 
 
 class TestGenerateCommand:
@@ -448,6 +478,20 @@ class TestReportCommand:
         self.replace_row(evaluated / "prices.csv", 9, lambda f: [f[0], "inf", f[2]])
         assert main(["report", "--out", str(evaluated)]) == 0
         assert "nan" not in (evaluated / "prices.svg").read_text()
+
+    @pytest.mark.parametrize("name,edit", [
+        ("returns.csv", lambda f: [f[0], "1e308", "-1e308"]),   # hi - lo overflows
+        ("prices.csv", lambda f: [f[0], "1.7e308", f[2]]),      # the padded top overflows
+        ("acf.csv", lambda f: [f[0], "1.7e308"] + f[2:]),       # so does the padded peak
+    ], ids=["returns-span", "prices-top", "acf-peak"])
+    def test_values_near_the_float_range_keep_coordinates_finite(self, evaluated, name, edit):
+        self.replace_row(evaluated / name, 3, edit)
+        assert main(["report", "--out", str(evaluated)]) == 0
+        root = ET.fromstring((evaluated / name.replace(".csv", ".svg")).read_bytes())
+        coords = [float(v) for el in root.iter() for key, text in el.attrib.items()
+                  if key in ("x", "y", "x1", "y1", "x2", "y2", "width", "height", "points")
+                  for v in text.replace(",", " ").split()]
+        assert coords and all(math.isfinite(c) for c in coords)
 
 
 class TestTopLevel:

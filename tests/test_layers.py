@@ -11,45 +11,45 @@ from conftest import check_gradients
 def tiny_generator_spec():
     """A miniature conv generator: 3 latent dims -> 8 outputs."""
     return ly.NetworkSpec([
-        ly.dense(3, 2 * 4),
-        ly.reshape_to(2, 4),
-        ly.batch_norm(2),
-        ly.act("relu"),
-        ly.conv_transpose(2, 1, 4, stride=2, padding=1),
-        ly.act("tanh"),
-        ly.reshape_to(8),
+        ly.Dense(3, 2 * 4),
+        ly.Reshape((2, 4)),
+        ly.BatchNorm(2),
+        ly.Activation("relu"),
+        ly.Conv1dTranspose(2, 1, 4, stride=2, padding=1),
+        ly.Activation("tanh"),
+        ly.Reshape((8,)),
     ], (3,), "generator")
 
 
 def tiny_discriminator_spec():
     return ly.NetworkSpec([
-        ly.reshape_to(1, 8),
-        ly.conv(1, 2, 4, stride=2, padding=1),
-        ly.act("leaky_relu", alpha=0.2),
-        ly.reshape_to(2 * 4),
-        ly.dense(8, 1),
-        ly.act("sigmoid"),
+        ly.Reshape((1, 8)),
+        ly.Conv1d(1, 2, 4, stride=2, padding=1),
+        ly.Activation("leaky_relu", alpha=0.2),
+        ly.Reshape((2 * 4,)),
+        ly.Dense(8, 1),
+        ly.Activation("sigmoid"),
     ], (8,), "discriminator")
 
 
 class TestLayerSpec:
     def test_constructors_fill_fields(self):
-        d = ly.dense(4, 7)
+        d = ly.Dense(4, 7)
         assert (d.kind, d.in_features, d.out_features) == ("dense", 4, 7)
-        c = ly.conv(1, 16, 4, stride=2, padding=1)
+        c = ly.Conv1d(1, 16, 4, stride=2, padding=1)
         assert (c.in_channels, c.out_channels, c.kernel_size, c.stride, c.padding) \
             == (1, 16, 4, 2, 1)
-        a = ly.act("leaky_relu", alpha=0.3)
+        a = ly.Activation("leaky_relu", alpha=0.3)
         assert (a.kind, a.fn, a.alpha) == ("activation", "leaky_relu", 0.3)
-        r = ly.reshape_to(2, 3)
+        r = ly.Reshape((2, 3))
         assert (r.kind, r.shape) == ("reshape", (2, 3))
 
     def test_roundtrip_through_dict(self):
-        for layer in [ly.dense(2, 3), ly.conv(1, 4, 3, 2, 1),
-                      ly.conv_transpose(4, 2, 5, 2, 1), ly.batch_norm(6),
-                      *(ly.act(fn) for fn in ad._ACTIVATIONS),
-                      ly.act("leaky_relu", alpha=0.5), ly.self_attention(8),
-                      ly.reshape_to(2, 2)]:
+        for layer in [ly.Dense(2, 3), ly.Conv1d(1, 4, 3, 2, 1),
+                      ly.Conv1dTranspose(4, 2, 5, 2, 1), ly.BatchNorm(6),
+                      *(ly.Activation(fn) for fn in ad._ACTIVATIONS),
+                      ly.Activation("leaky_relu", alpha=0.5), ly.self_attention(8),
+                      ly.Reshape((2, 2))]:
             again = ly.LayerSpec.from_dict(layer.to_dict())
             assert again == layer
 
@@ -58,17 +58,17 @@ class TestLayerSpec:
             ly.LayerSpec.from_dict({"kind": "dropout"})
 
     @pytest.mark.parametrize("make, field", [
-        (lambda: ly.conv_transpose(2, 1, 4, stride=0), "stride"),
-        (lambda: ly.conv_transpose(2, 1, 0), "kernel_size"),
+        (lambda: ly.Conv1dTranspose(2, 1, 4, stride=0), "stride"),
+        (lambda: ly.Conv1dTranspose(2, 1, 0), "kernel_size"),
         (lambda: ly.build(ly.NetworkSpec(
-            [ly.reshape_to(2, 2, 2), ly.batch_norm(2), ly.reshape_to(8), ly.act("tanh")],
+            [ly.Reshape((2, 2, 2)), ly.BatchNorm(2), ly.Reshape((8,)), ly.Activation("tanh")],
             (8,), "generator"), 0), r"layer 1 \(batch_norm\)"),
-        (lambda: ly.reshape_to(-2, -4), "shape"),
-        (lambda: ly.conv(1, 0, 3), "out_channels"),
+        (lambda: ly.Reshape((-2, -4)), "shape"),
+        (lambda: ly.Conv1d(1, 0, 3), "out_channels"),
         (lambda: ly.LayerSpec.from_dict(
             {"kind": "dense", "in_features": 2, "out_features": 3, "kernel_size": 3}),
          "kernel_size"),
-        (lambda: ly.act("tanh", alpha=0.5), "alpha"),
+        (lambda: ly.Activation("tanh", alpha=0.5), "alpha"),
         (lambda: ly.LayerSpec.from_dict({"kind": "activation", "fn": "relu", "alpha": 0.1}),
          "alpha"),
         (lambda: ly.self_attention(8, -3), "query_channels"),
@@ -95,43 +95,43 @@ class TestShapeInference:
 
     def test_channel_mismatch_names_layer(self):
         spec = ly.NetworkSpec([
-            ly.reshape_to(2, 8),
-            ly.conv(3, 4, 3, padding=1),    # wrong in_channels
-            ly.act("sigmoid"),
+            ly.Reshape((2, 8)),
+            ly.Conv1d(3, 4, 3, padding=1),    # wrong in_channels
+            ly.Activation("sigmoid"),
         ], (16,), "discriminator")
         with pytest.raises(ly.BuildError, match=r"layer 1 \(conv1d\)"):
             ly.validate(spec)
 
     def test_dense_on_3d_input_rejected(self):
         spec = ly.NetworkSpec([
-            ly.reshape_to(2, 8),
-            ly.dense(16, 1),
-            ly.act("sigmoid"),
+            ly.Reshape((2, 8)),
+            ly.Dense(16, 1),
+            ly.Activation("sigmoid"),
         ], (16,), "discriminator")
         with pytest.raises(ly.BuildError):
             ly.validate(spec)
 
     def test_reshape_size_mismatch_rejected(self):
-        spec = ly.NetworkSpec([ly.reshape_to(3, 5), ly.act("tanh")], (16,), "generator")
+        spec = ly.NetworkSpec([ly.Reshape((3, 5)), ly.Activation("tanh")], (16,), "generator")
         with pytest.raises(ly.BuildError, match="layer 0"):
             ly.validate(spec)
 
     def test_head_rules(self):
-        body = [ly.dense(4, 1)]
+        body = [ly.Dense(4, 1)]
         ok = {"generator": "tanh", "discriminator": "sigmoid", "critic": "linear"}
         for role, fn in ok.items():
-            ly.validate(ly.NetworkSpec(body + [ly.act(fn)], (4,), role))
+            ly.validate(ly.NetworkSpec(body + [ly.Activation(fn)], (4,), role))
         for role, fn in [("discriminator", "linear"), ("critic", "sigmoid"),
                          ("generator", "relu")]:
             with pytest.raises(ly.BuildError):
-                ly.validate(ly.NetworkSpec(body + [ly.act(fn)], (4,), role))
+                ly.validate(ly.NetworkSpec(body + [ly.Activation(fn)], (4,), role))
 
     def test_generator_head_rule_sees_through_reshape(self):
         # the closing reshape after tanh must not hide the head activation
         ly.validate(tiny_generator_spec())
 
     def test_batch_norm_feature_mismatch(self):
-        spec = ly.NetworkSpec([ly.dense(4, 6), ly.batch_norm(5), ly.act("tanh")],
+        spec = ly.NetworkSpec([ly.Dense(4, 6), ly.BatchNorm(5), ly.Activation("tanh")],
                               (4,), "generator")
         with pytest.raises(ly.BuildError, match="layer 1"):
             ly.validate(spec)
@@ -250,14 +250,14 @@ class TestBuildAndInit:
 
     def test_batch_norm_and_attention_init(self):
         spec = ly.NetworkSpec([
-            ly.reshape_to(1, 8),
-            ly.conv(1, 4, 3, padding=1),
-            ly.batch_norm(4),
-            ly.act("leaky_relu"),
+            ly.Reshape((1, 8)),
+            ly.Conv1d(1, 4, 3, padding=1),
+            ly.BatchNorm(4),
+            ly.Activation("leaky_relu"),
             ly.self_attention(4),
-            ly.reshape_to(32),
-            ly.dense(32, 1),
-            ly.act("sigmoid"),
+            ly.Reshape((32,)),
+            ly.Dense(32, 1),
+            ly.Activation("sigmoid"),
         ], (8,), "discriminator")
         net = ly.build(spec, 0)
         assert (net.params["2.gamma"].data == 1).all()
@@ -283,7 +283,7 @@ class TestForward:
             net.forward(ad.Tensor(np.zeros((4, 3))), mode="test")
 
     def test_batch_norm_train_uses_batch_stats(self, rng):
-        spec = ly.NetworkSpec([ly.batch_norm(3), ly.act("tanh")], (3,), "generator")
+        spec = ly.NetworkSpec([ly.BatchNorm(3), ly.Activation("tanh")], (3,), "generator")
         net = ly.build(spec, 0)
         x = rng.standard_normal((64, 3)) * 4.0 + 1.0
         with ad.no_grad():
@@ -292,7 +292,7 @@ class TestForward:
         np.testing.assert_allclose(inner.mean(axis=0), 0.0, atol=1e-10)
 
     def test_batch_norm_running_stat_update_rule(self, rng):
-        spec = ly.NetworkSpec([ly.batch_norm(3), ly.act("tanh")], (3,), "generator")
+        spec = ly.NetworkSpec([ly.BatchNorm(3), ly.Activation("tanh")], (3,), "generator")
         net = ly.build(spec, 0)
         x = rng.standard_normal((32, 3)) + 2.0
         with ad.no_grad():
@@ -303,7 +303,7 @@ class TestForward:
         np.testing.assert_allclose(net.running[0]["var"], expected_var)
 
     def test_batch_norm_stats_frozen_when_asked(self, rng):
-        spec = ly.NetworkSpec([ly.batch_norm(3), ly.act("tanh")], (3,), "generator")
+        spec = ly.NetworkSpec([ly.BatchNorm(3), ly.Activation("tanh")], (3,), "generator")
         net = ly.build(spec, 0)
         x = rng.standard_normal((32, 3)) + 2.0
         with ad.no_grad():
@@ -312,7 +312,7 @@ class TestForward:
         np.testing.assert_array_equal(net.running[0]["var"], np.ones(3))
 
     def test_batch_norm_eval_uses_running_stats(self, rng):
-        spec = ly.NetworkSpec([ly.batch_norm(2), ly.act("tanh")], (2,), "generator")
+        spec = ly.NetworkSpec([ly.BatchNorm(2), ly.Activation("tanh")], (2,), "generator")
         net = ly.build(spec, 0)
         net.running[0]["mean"] = np.array([1.0, -1.0])
         net.running[0]["var"] = np.array([4.0, 0.25])
@@ -324,10 +324,10 @@ class TestForward:
 
     def test_batch_norm_3d_normalizes_per_channel(self, rng):
         spec = ly.NetworkSpec([
-            ly.reshape_to(2, 6),
-            ly.batch_norm(2),
-            ly.act("tanh"),
-            ly.reshape_to(12),
+            ly.Reshape((2, 6)),
+            ly.BatchNorm(2),
+            ly.Activation("tanh"),
+            ly.Reshape((12,)),
         ], (12,), "generator")
         net = ly.build(spec, 0)
         x = rng.standard_normal((16, 12)) * 3.0
@@ -344,8 +344,8 @@ class TestForward:
         wk = ad.Tensor(rng.standard_normal((1, 3, 1)))
         wv = ad.Tensor(rng.standard_normal((3, 3, 1)))
         with ad.no_grad():
-            gated_off = ly.attention_forward(x, wq, wk, wv, ad.Tensor(0.0))
-            gated_on = ly.attention_forward(x, wq, wk, wv, ad.Tensor(1.0))
+            gated_off = ad.self_attention(x, wq, wk, wv, ad.Tensor(0.0))
+            gated_on = ad.self_attention(x, wq, wk, wv, ad.Tensor(1.0))
         np.testing.assert_array_equal(gated_off.data, x.data)
         assert not np.array_equal(gated_on.data, x.data)
 
@@ -395,7 +395,7 @@ class TestNetworkGradients:
         gamma = np.array(0.7)
 
         def build(tx, tq, tk, tv, tg):
-            return (ly.attention_forward(tx, tq, tk, tv, tg) ** 2).sum()
+            return (ad.self_attention(tx, tq, tk, tv, tg) ** 2).sum()
 
         check_gradients(build, [x, wq, wk, wv, gamma])
 
@@ -413,13 +413,13 @@ class TestNetworkGradients:
 class TestSerialization:
     def test_state_dict_roundtrip_bit_exact(self, rng):
         spec = ly.NetworkSpec([
-            ly.reshape_to(1, 8),
-            ly.conv(1, 3, 4, stride=2, padding=1),
-            ly.batch_norm(3),
-            ly.act("leaky_relu"),
-            ly.reshape_to(12),
-            ly.dense(12, 1),
-            ly.act("sigmoid"),
+            ly.Reshape((1, 8)),
+            ly.Conv1d(1, 3, 4, stride=2, padding=1),
+            ly.BatchNorm(3),
+            ly.Activation("leaky_relu"),
+            ly.Reshape((12,)),
+            ly.Dense(12, 1),
+            ly.Activation("sigmoid"),
         ], (8,), "discriminator")
         net = ly.build(spec, 21)
         with ad.no_grad():
@@ -470,10 +470,10 @@ class TestNoiseSource:
     def test_state_roundtrip_continues_stream(self):
         src = ly.NoiseSource("uniform", 3, 4)
         src.sample(2)
-        saved = src.state()
+        saved = src.rng.bit_generator.state
         expected = src.sample(2).data
         src2 = ly.NoiseSource("uniform", 3, 0)
-        src2.set_state(saved)
+        src2.rng.bit_generator.state = saved
         np.testing.assert_array_equal(src2.sample(2).data, expected)
 
     def test_rejects_unknown_distribution(self):

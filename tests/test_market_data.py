@@ -40,10 +40,9 @@ def make_csv(tmp_path, text, name="prices.csv"):
 
 class TestPriceSeries:
     def test_accepts_clean_data(self):
-        ps = PriceSeries(["2020-01-02", "2020-01-03"], [100.0, 101.0], symbol="SPX")
+        ps = PriceSeries(["2020-01-02", "2020-01-03"], [100.0, 101.0])
         assert len(ps) == 2
         assert ps.prices.dtype == np.float64
-        assert ps.symbol == "SPX"
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="equal length"):
@@ -90,10 +89,9 @@ class TestWindowedDataset:
 
 class TestIngestCsv:
     def test_happy_path(self, tmp_path):
-        ps = ingest_csv(make_csv(tmp_path, GOOD_CSV), symbol="SPX")
+        ps = ingest_csv(make_csv(tmp_path, GOOD_CSV))
         assert ps.dates == ["2020-01-02", "2020-01-03", "2020-01-06"]
         np.testing.assert_array_equal(ps.prices, [100.0, 101.5, 99.25])
-        assert ps.symbol == "SPX"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -183,12 +181,10 @@ class TestToLogReturns:
         rs = to_log_returns(prices)
         np.testing.assert_array_equal(rs.values, np.diff(np.log(prices)))
 
-    def test_carries_metadata_from_price_series(self, tmp_path):
-        ps = ingest_csv(make_csv(tmp_path, GOOD_CSV), symbol="SPX")
+    def test_accepts_price_series(self, tmp_path):
+        ps = ingest_csv(make_csv(tmp_path, GOOD_CSV))
         rs = to_log_returns(ps)
-        assert rs.symbol == "SPX"
-        assert rs.start_date == "2020-01-02"
-        assert rs.end_date == "2020-01-06"
+        np.testing.assert_array_equal(rs.values, np.diff(np.log(ps.prices)))
         assert len(rs) == len(ps) - 1
 
     def test_rejects_non_positive_raw_prices(self):

@@ -27,11 +27,8 @@ from marketgan.stylized_facts import (
     aggregational_gaussianity_verdict,
     confidence_band,
     evaluate,
-    gain_loss_asymmetry_verdict,
-    heavy_tails_verdict,
     ks_statistic,
     leverage_effect_score,
-    linear_unpredictability_score,
     moments,
     volatility_clustering_score,
     wasserstein1,
@@ -158,18 +155,26 @@ class TestConfidenceBand:
         assert type(confidence_band(100)) is float
 
 
+def linear_score(values) -> float:
+    return evaluate(values, values).linear_score
+
+
+def verdicts(values) -> dict:
+    return evaluate(values, values).verdicts
+
+
 class TestLinearUnpredictability:
     def test_white_noise_scores_high(self, white_noise):
-        assert linear_unpredictability_score(white_noise) >= 0.9
+        assert linear_score(white_noise) >= 0.9
 
     def test_ar1_scores_zero(self):
-        assert linear_unpredictability_score(ar1(0.9, 4000, seed=3)) == 0.0
+        assert linear_score(ar1(0.9, 4000, seed=3)) == 0.0
 
     def test_is_fraction_inside_band(self, white_noise):
         rho = acf(white_noise, 20)
         band = confidence_band(len(white_noise))
         expected = float((np.abs(rho) < band).mean())
-        assert linear_unpredictability_score(white_noise) == expected
+        assert linear_score(white_noise) == expected
 
 
 class TestMoments:
@@ -232,18 +237,18 @@ class TestVolatilityClustering:
 class TestTailAndSkewVerdicts:
     def test_student_t_has_heavy_tails(self):
         values = np.random.default_rng(11).standard_t(4, size=4000)
-        assert heavy_tails_verdict(values)
+        assert verdicts(values)["heavy_tails"]
 
     def test_gaussian_does_not(self, white_noise):
-        assert not heavy_tails_verdict(white_noise)
+        assert not verdicts(white_noise)["heavy_tails"]
 
     def test_negative_skew_passes_gain_loss(self, rng):
         values = -rng.lognormal(0.0, 0.5, size=2000)
-        assert gain_loss_asymmetry_verdict(values)
+        assert verdicts(values)["gain_loss_asymmetry"]
 
     def test_positive_skew_fails_gain_loss(self, rng):
         values = rng.lognormal(0.0, 0.5, size=2000)
-        assert not gain_loss_asymmetry_verdict(values)
+        assert not verdicts(values)["gain_loss_asymmetry"]
 
 
 class TestAggregationalGaussianity:
@@ -436,7 +441,7 @@ class TestFixtureRegression:
         assert m.excess_kurtosis == pytest.approx(6.952836714687821, rel=1e-12)
 
     def test_linear_unpredictability(self, fixture_returns):
-        assert linear_unpredictability_score(fixture_returns) == 0.95
+        assert linear_score(fixture_returns) == 0.95
 
     def test_volatility_clustering(self, fixture_returns):
         rho_abs, summary = volatility_clustering_score(fixture_returns)

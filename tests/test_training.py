@@ -437,10 +437,10 @@ class TestGenerate:
         assert not np.array_equal(a, c)
 
     def test_does_not_disturb_training_streams(self, trained):
-        before = trained.noise.state()
+        before = trained.noise.rng.bit_generator.state
         shuffle_before = trained.shuffle_rng.bit_generator.state
         generate(trained, 3, seed=7)
-        assert trained.noise.state() == before
+        assert trained.noise.rng.bit_generator.state == before
         assert trained.shuffle_rng.bit_generator.state == shuffle_before
 
     def test_chunking_matches_small_request(self, trained):
