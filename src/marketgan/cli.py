@@ -126,10 +126,12 @@ def _window_stride(value) -> int:
     return stride
 
 
-def _merged_train_config(args, base: dict) -> tuple[TrainConfig, str, int]:
-    """``base``, then the config file, then the flags. ``base`` is {} for a
-    fresh run; on resume it is the checkpoint's flat config, and only its
-    epochs may change. Returns (config, data path, stride)."""
+def _merged_train_config(args, state) -> tuple[TrainConfig, str, int]:
+    """The base layer, then the config file, then the flags. The base is {}
+    for a fresh run; on resume (``state`` is the loaded checkpoint) it is the
+    checkpoint's flat config, and only its epochs may change, to no earlier
+    than the checkpoint's epoch. Returns (config, data path, stride)."""
+    base = state.config.to_flat() if state is not None else {}
     flat = dict(base)
     flat.update(_load_config_file(args.config) if args.config else {})
     overrides = {
@@ -164,6 +166,9 @@ def _merged_train_config(args, base: dict) -> tuple[TrainConfig, str, int]:
         config.validate()
     except (ValueError, TypeError) as exc:
         raise CliError(EXIT_CONFIG, f"bad training config: {exc}") from exc
+    if state is not None and config.epochs < state.epoch:
+        raise CliError(EXIT_CONFIG, f"epochs {config.epochs} is before the "
+                                    f"checkpoint's epoch {state.epoch}")
     return config, str(data), stride
 
 
@@ -183,12 +188,8 @@ def cmd_train(args) -> int:
             state = load_checkpoint(args.resume)
         except CheckpointError as exc:
             raise CliError(EXIT_DATA, f"bad checkpoint: {exc}") from exc
-    base = state.config.to_flat() if state is not None else {}
-    config, data_path, stride = _merged_train_config(args, base)
+    config, data_path, stride = _merged_train_config(args, state)
     if state is not None:
-        if config.epochs < state.epoch:
-            raise CliError(EXIT_CONFIG, f"epochs {config.epochs} is before the "
-                                        f"checkpoint's epoch {state.epoch}")
         state.config.epochs = config.epochs
     out = _ensure_out_dir(args.out)
     try:

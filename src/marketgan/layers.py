@@ -219,8 +219,7 @@ class SelfAttention(LayerSpec, kind="self_attention"):
                 ("wv", (c, c, 1), None), ("gamma_attn", (), 0.0)]  # starts as identity
 
     def forward(self, x, params, *_):
-        # out = x + gamma_attn * (V @ map), one recorded op
-        return ad.self_attention(x, *params)
+        return attention_forward(x, *params)
 
 
 @dataclass
@@ -402,6 +401,15 @@ class Network:
                                      f"shape {arr.shape}, spec wants {running[key].shape}")
                 running[key] = arr
         return net
+
+
+def attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                      gamma_attn: Tensor) -> Tensor:
+    """Self-attention over positions of a [B, C, L] feature map, gated into
+    a residual: out = x + gamma_attn * (V @ map). One recorded op; see
+    autodiff.self_attention. Kept as a module-level function because the
+    benchmark's tracer wraps it by name for its per-layer attention metric."""
+    return ad.self_attention(x, wq, wk, wv, gamma_attn)
 
 
 def build(spec: NetworkSpec, init_seed: int) -> Network:

@@ -102,12 +102,6 @@ def inputs(tmp_path_factory):
             "big": big, "evaluated": evaluated}
 
 
-@contextlib.contextmanager
-def scratch():
-    with tempfile.TemporaryDirectory() as tmp:
-        yield Path(tmp)
-
-
 # ----------------------------------------------------------------------
 # mutations
 # ----------------------------------------------------------------------
@@ -209,7 +203,8 @@ def file_mutant(text: str):
 def test_train(inputs, data):
     source = data.draw(st.sampled_from(["data", "prices"]))
     target = data.draw(st.sampled_from(["csv", "config", "flags"]))
-    with scratch() as tmp:
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
         csv_path = tmp / "input.csv"
         argv = ["train", "--data", str(csv_path), "--out", str(tmp / "out")] + TRAIN_FLAGS
         text = inputs[source].read_text()
@@ -233,7 +228,8 @@ def test_train(inputs, data):
 @FUZZ
 @given(data=st.data())
 def test_train_resume(inputs, data):
-    with scratch() as tmp:
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
         argv = ["train", "--resume", str(inputs["ckpt"]), "--data", str(inputs["data"]),
                 "--out", str(tmp / "out")]
         if data.draw(st.booleans()):
@@ -247,7 +243,8 @@ def test_train_resume(inputs, data):
 @FUZZ
 @given(data=st.data())
 def test_generate(inputs, data):
-    with scratch() as tmp:
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
         ckpt = tmp / "checkpoint.json"
         text = inputs["ckpt"].read_text()
         how = data.draw(st.sampled_from(["bytes", "json", "none"]))
@@ -266,7 +263,8 @@ def test_generate(inputs, data):
 @FUZZ
 @given(data=st.data())
 def test_evaluate(inputs, data):
-    with scratch() as tmp:
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
         paths = {}
         for role in ("candidate", "reference"):
             paths[role] = tmp / f"{role}.csv"
@@ -281,7 +279,8 @@ def test_evaluate(inputs, data):
 @FUZZ
 @given(data=st.data())
 def test_report(inputs, data):
-    with scratch() as tmp:
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
         out = tmp / "e"
         shutil.copytree(inputs["evaluated"], out)
         name = data.draw(st.sampled_from(["acf.csv", "pdf.csv", "returns.csv", "prices.csv"]))
