@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -94,11 +95,30 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _build_info() -> dict:
+    """The numeric build. Identical invocations give identical bytes only
+    within one build: another numpy, BLAS or thread count may sum in
+    another order."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        blas = {"name": deps["blas"]["name"], "version": deps["blas"]["version"]}
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {k: v for k, v in sorted(os.environ.items())
+                    if k.endswith("_NUM_THREADS")},
+    }
+
+
 def _write_manifest(out: str, command: str, config: dict, seed: int,
                     inputs: dict, artifacts: dict, started: str):
     doc = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
+        "build": _build_info(),
         "command": command,
         "seed": seed,
         "config": config,
@@ -297,9 +317,25 @@ def _load_series(path, label: str) -> np.ndarray:
         raise CliError(EXIT_DATA, f"cannot load {label} series: {exc}") from exc
 
 
+def _first_non_finite(doc: dict, prefix: str = ""):
+    """Dotted name of the first non-finite number in a report dict, or None."""
+    for key, value in doc.items():
+        name = prefix + key
+        if isinstance(value, dict):
+            found = _first_non_finite(value, name + ".")
+            if found is not None:
+                return found
+        elif isinstance(value, (float, list)) and not np.isfinite(value).all():
+            return name
+    return None
+
+
 def _acf_csv_text(cand: np.ndarray, ref: np.ndarray, max_lag: int) -> str:
     rho_c = sf.acf(cand, max_lag)
     rho_r = sf.acf(ref, max_lag)
+    if not np.isfinite(rho_r).all():
+        raise CliError(EXIT_NUMERIC, "the reference autocorrelation in acf.csv is not "
+                                     "finite: the values are too large for float64")
     band = sf.confidence_band(len(cand))
     lines = [ACF_HEADER]
     for lag in range(1, max_lag + 1):
@@ -347,19 +383,28 @@ def cmd_evaluate(args) -> int:
                                         args.max_lag))
     if args.bins < 2:
         raise CliError(EXIT_CONFIG, f"--bins must be >= 2, got {args.bins}")
-    try:
-        report = sf.evaluate(cand, ref, thresholds)
-    except DegenerateSeriesError as exc:
-        raise CliError(EXIT_NUMERIC, f"degenerate series: {exc}") from exc
-    except sf.InsufficientDataError as exc:
-        raise CliError(EXIT_DATA, f"not enough data: {exc}") from exc
+    # values whose squares overflow make inf or nan on the way; every
+    # statistic written below is refused unless finite, so numpy's warnings
+    # would add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            report = sf.evaluate(cand, ref, thresholds)
+        except DegenerateSeriesError as exc:
+            raise CliError(EXIT_NUMERIC, f"degenerate series: {exc}") from exc
+        except sf.InsufficientDataError as exc:
+            raise CliError(EXIT_DATA, f"not enough data: {exc}") from exc
+        try:
+            acf_text = _acf_csv_text(cand, ref, thresholds.linear_max_lag)
+        except sf.InsufficientDataError as exc:
+            raise CliError(EXIT_DATA, f"not enough data for the ACF table: {exc}") from exc
 
+    doc = report.to_dict()
+    bad = _first_non_finite(doc)
+    if bad is not None:
+        raise CliError(EXIT_NUMERIC, f"statistic {bad} is not finite: the values are too "
+                                     f"large for float64")
     report_path = os.path.join(out, "report.json")
-    atomic_write_text(report_path, json.dumps(report.to_dict(), indent=2) + "\n")
-    try:
-        acf_text = _acf_csv_text(cand, ref, thresholds.linear_max_lag)
-    except sf.InsufficientDataError as exc:
-        raise CliError(EXIT_DATA, f"not enough data for the ACF table: {exc}") from exc
+    atomic_write_text(report_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     atomic_write_text(os.path.join(out, "acf.csv"), acf_text)
     atomic_write_text(os.path.join(out, "pdf.csv"), _pdf_csv_text(cand, ref, args.bins))
     atomic_write_text(os.path.join(out, "returns.csv"), _series_pair_csv_text(cand, ref))

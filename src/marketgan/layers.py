@@ -90,6 +90,8 @@ def _expect_channels(shape: tuple, channels: int):
 
 @dataclass
 class Dense(LayerSpec, kind="dense"):
+    fold_axis = 0  # the weight's output axis, see _fold_batch_norm
+
     in_features: int
     out_features: int
 
@@ -133,6 +135,8 @@ class Conv1d(LayerSpec, kind="conv1d"):
 
 @dataclass
 class Conv1dTranspose(Conv1d, kind="conv1d_transpose"):
+    fold_axis = 1  # the kernel's output axis, see _fold_batch_norm
+
     def out_shape(self, in_shape):
         _expect_channels(in_shape, self.in_channels)
         return (self.out_channels, ad.conv_transpose_output_length(
@@ -146,6 +150,32 @@ class Conv1dTranspose(Conv1d, kind="conv1d_transpose"):
         kernel, bias = params
         x = ad.conv1d_transpose(x, kernel, self.stride, self.padding)
         return x + ad.reshape(bias, (1, self.out_channels, 1))
+
+
+def _fold_batch_norm(weight, bias, bn_params, running, axis):
+    """The parameters of a layer followed by an eval-mode batch norm, which
+    maps each output channel by (y - mean) * scale + beta with
+    scale = gamma * 1/sqrt(var + eps): weight * scale, the scale broadcast
+    along the weight's output ``axis``, and (bias - mean) * scale + beta.
+    A Dense whose outputs a Reshape lays out as [C, L] has L channel-major
+    outputs per channel, so its weight and bias are viewed as [C, -1] for
+    the fold. Built from module ops on parameter-sized arrays, so a recorded
+    forward reaches gamma, beta, weight and bias."""
+    gamma, beta = bn_params
+    channels = gamma.size
+    scale = ad.mul(gamma, Tensor(1.0 / np.sqrt(running["var"] + BN_EPS)))
+    if bias.size == channels:
+        view = [1] * weight.ndim
+        view[axis] = channels
+        return (ad.mul(weight, ad.reshape(scale, tuple(view))),
+                ad.add(ad.mul(ad.sub(bias, Tensor(running["mean"])), scale), beta))
+    per_channel = (channels, 1)
+    w = ad.mul(ad.reshape(weight, (channels, -1)), ad.reshape(scale, per_channel))
+    b = ad.mul(ad.sub(ad.reshape(bias, (channels, -1)),
+                      Tensor(running["mean"].reshape(per_channel))),
+               ad.reshape(scale, per_channel))
+    b = ad.add(b, ad.reshape(beta, per_channel))
+    return ad.reshape(w, weight.shape), ad.reshape(b, bias.shape)
 
 
 @dataclass
@@ -342,7 +372,12 @@ class Network:
 
         In train mode batch_norm uses batch statistics (and, when
         update_stats is true, refreshes the running estimates); in eval
-        mode it uses the stored running statistics.
+        mode it uses the stored running statistics. An eval-mode batch norm
+        right after a Conv1dTranspose, or after a Dense directly or through
+        one Reshape to [C, L], is a fixed per-channel affine map, so it is
+        folded into that layer's parameters (see _batch_norm_folds) instead
+        of mapping the activations; anywhere else it runs as
+        batch_norm_inference.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -354,10 +389,21 @@ class Network:
             raise ad.ShapeError(
                 f"input shape {x.shape} does not match spec "
                 f"[batch, {', '.join(map(str, expected))}]")
+        folds = _batch_norm_folds(self.spec.layers) if mode == "eval" else {}
+        folded = set(folds.values())
         for i, layer in enumerate(self.spec.layers):
-            params = [self.params[f"{i}.{name}"] for name, _, _ in layer.param_shapes()]
+            if i in folded:
+                continue  # folded into the layer before it
+            params = self._layer_params(i)
+            if i in folds:
+                j = folds[i]
+                params = _fold_batch_norm(*params, self._layer_params(j), self.running[j],
+                                          layer.fold_axis)
             x = layer.forward(x, params, self.running.get(i), mode, update_stats)
         return x
+
+    def _layer_params(self, i: int) -> list:
+        return [self.params[f"{i}.{name}"] for name, _, _ in self.spec.layers[i].param_shapes()]
 
     # -- serialization ---------------------------------------------------
     def state_dict(self) -> dict:
@@ -401,6 +447,23 @@ class Network:
                                      f"shape {arr.shape}, spec wants {running[key].shape}")
                 running[key] = arr
         return net
+
+
+def _batch_norm_folds(layers: list) -> dict:
+    """{index of a layer: index of the BatchNorm folded into it in eval mode}
+    for every BatchNorm right after a Conv1dTranspose, or after a Dense
+    directly or through one Reshape to [C, L]."""
+    folds = {}
+    for i, layer in enumerate(layers):
+        if not isinstance(layer, BatchNorm) or i == 0:
+            continue
+        prev = layers[i - 1]
+        if isinstance(prev, (Dense, Conv1dTranspose)):
+            folds[i - 1] = i
+        elif (isinstance(prev, Reshape) and len(prev.shape) == 2 and i >= 2
+              and isinstance(layers[i - 2], Dense)):
+            folds[i - 2] = i
+    return folds
 
 
 def attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,

@@ -541,11 +541,14 @@ def state_from_document(doc: dict) -> TrainState:
         specs = ly.preset(config.gan_variant, config.seq_len, config.latent_dim)
     nets = {}
     for key, spec in zip(("generator", "discriminator"), specs):
+        # compare before building: a stored spec sizes every allocation
         with _reading(key):
-            nets[key] = ly.Network.from_state_dict(doc[key])
-        if nets[key].spec != spec:
+            stored = ly.NetworkSpec.from_dict(doc[key]["spec"])
+        if stored != spec:
             raise CheckpointError(f"checkpoint field {key!r}: spec is not the preset "
                                   f"its config names ({config.gan_variant})")
+        with _reading(key):
+            nets[key] = ly.Network.from_state_dict(doc[key])
         _check_network(key, nets[key])
     opts = {}
     for key, net in (("g_optimizer", nets["generator"]),

@@ -1,9 +1,13 @@
-"""Shared test helpers: a central finite-difference gradient checker."""
+"""Shared test helpers: a central finite-difference gradient checker, and
+two inputs the CLI must refuse without a traceback."""
+
+import json
 
 import numpy as np
 import pytest
 
 import marketgan.autodiff as ad
+from marketgan.market_data import write_returns_csv
 
 FD_STEP = 1e-4
 FD_REL_TOL = 1e-3
@@ -63,6 +67,27 @@ def check_gradients(build, arrays, rel_tol=FD_REL_TOL, abs_floor=FD_ABS_FLOOR,
                 f"gradient mismatch for input {i} at {worst}: "
                 f"analytic {analytic[worst]!r} vs numeric {numeric[worst]!r}")
     return grads
+
+
+def huge_spec_checkpoint(ckpt, path):
+    """A copy of a checkpoint whose generator spec takes a 2**40-wide input,
+    consistently (input shape and first Dense layer), so building it would
+    allocate terabytes."""
+    doc = json.loads(ckpt.read_text())
+    spec = doc["generator"]["spec"]
+    spec["input_shape"] = [2 ** 40]
+    spec["layers"][0]["in_features"] = 2 ** 40
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def overflowing_series(path):
+    """2,000 t(5) returns with one cell at 1e308: finite, but its squares
+    overflow float64."""
+    values = np.random.default_rng(2).standard_t(5, 2000) * 0.01
+    values[100] = 1e308
+    write_returns_csv(path, values)
+    return path
 
 
 @pytest.fixture

@@ -332,8 +332,11 @@ class TestForwardScreening:
 
     def test_eval_forward_screens_only_ops_that_can_overflow(self, monkeypatch):
         # the twin of test_backward_screens_only_leaf_gradients for the
-        # generate path: no mask is built, and the reshapes, relus and tanh
-        # are not screened
+        # generate path: no mask is built, the reshapes, relus and tanh are
+        # not screened, and each batch norm is folded into the layer before
+        # it by ops on parameter-sized arrays: its scale and shift
+        # constants, scale = gamma * inv, weight * scale and
+        # (bias - mean) * scale + beta
         gen = ly.build(ly.preset("wgan_gp")[0], init_seed=5)
         z = ad.Tensor(np.random.default_rng(5).uniform(-1.0, 1.0, (4, 100)))
         screened = []
@@ -346,8 +349,10 @@ class TestForwardScreening:
         monkeypatch.setattr(ad, "_check_finite", counting)
         with ad.no_grad():
             gen.forward(z, mode="eval")
-        assert screened == ["linear"] + ["batch_norm_inference", "conv1d_transpose",
-                                         "add"] * 3
+        fold = ["tensor construction", "mul", "mul", "tensor construction", "sub", "mul",
+                "add"]
+        assert screened == (fold + ["linear"] + (fold + ["conv1d_transpose", "add"]) * 2
+                            + ["conv1d_transpose", "add"])
 
 
 _EXTREMES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,

@@ -9,11 +9,14 @@ import datetime
 import hashlib
 import json
 import math
+import os
+import platform
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from conftest import huge_spec_checkpoint, overflowing_series
 from marketgan.cli import main
 from marketgan.market_data import load_return_series, write_returns_csv
 
@@ -84,6 +87,14 @@ class TestTrainCommand:
         assert doc["inputs"]["data"]["sha256"] == expected
         for key in ("started_utc", "finished_utc"):
             datetime.datetime.fromisoformat(doc[key])
+
+    def test_manifest_records_the_numeric_build(self, work):
+        build = json.loads((work["train_out"] / "manifest.json").read_text())["build"]
+        assert build["python"] == platform.python_version()
+        assert build["numpy"] == np.__version__
+        assert build["blas"] is None or set(build["blas"]) == {"name", "version"}
+        assert build["threads"] == {k: v for k, v in os.environ.items()
+                                    if k.endswith("_NUM_THREADS")}
 
     def test_repeat_run_is_byte_identical(self, work, tmp_path):
         args = ["train", "--data", str(work["data"])] + TRAIN_FLAGS
@@ -182,6 +193,19 @@ class TestTrainCommand:
     def test_exit_3_on_bad_resume_checkpoint(self, work, tmp_path):
         assert main(["train", "--resume", str(tmp_path / "gone.json"),
                      "--data", str(work["data"]), "--out", str(tmp_path)]) == 3
+
+    def test_exit_3_on_huge_consistent_spec_without_allocating(self, work, tmp_path,
+                                                               capsys):
+        # a stored spec that is consistent but names a 2**40-wide input is
+        # refused by the preset check before any parameter is allocated
+        ckpt = huge_spec_checkpoint(work["ckpt"], tmp_path / "huge.json")
+        capsys.readouterr()
+        assert main(["train", "--resume", str(ckpt), "--data", str(work["data"]),
+                     "--out", str(tmp_path / "t")]) == 3
+        assert main(["generate", "--checkpoint", str(ckpt), "--n", "10",
+                     "--out", str(tmp_path / "g")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("spec is not the preset") == 2 and "Traceback" not in err
 
     def test_exit_2_on_resume_epochs_before_checkpoint(self, work, tmp_path):
         first = tmp_path / "first"
@@ -403,6 +427,22 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--candidate", str(short),
                      "--reference", str(work["big_a"]),
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("role,statistic", [
+        ("candidate", "statistic moments.std"),
+        ("reference", "reference autocorrelation"),
+    ])
+    def test_exit_4_on_statistic_that_overflows(self, work, tmp_path, capsys, role,
+                                                statistic):
+        series = {"candidate": work["big_a"], "reference": work["big_a"],
+                  role: overflowing_series(tmp_path / "huge.csv")}
+        out = tmp_path / "ev"
+        capsys.readouterr()
+        assert main(["evaluate", "--candidate", str(series["candidate"]),
+                     "--reference", str(series["reference"]), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert statistic in err and "not finite" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_exit_4_on_degenerate_series(self, work, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

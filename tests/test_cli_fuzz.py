@@ -7,6 +7,7 @@ flags (also flags given after ``train --resume``). Whatever it makes,
 
 Numbers that size an allocation or a loop (epochs, widths, ``--n``,
 ``--bins``) are drawn from small sets, so every example stays cheap.
+Inputs once found to break the contract are pinned as explicit examples.
 """
 
 import contextlib
@@ -18,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import huge_spec_checkpoint, overflowing_series
 from marketgan.cli import main
 from marketgan.market_data import write_returns_csv
 
@@ -72,6 +74,20 @@ JSON_VALUES = st.one_of(
 )
 
 
+class Drawn:
+    """Stands in for ``st.data()`` in an explicit example: each draw returns
+    the next of the given values, in the order the property draws."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+    def __repr__(self):
+        return f"Drawn({', '.join(map(repr, self.values))})"
+
+
 def run(argv) -> int:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -99,7 +115,10 @@ def inputs(tmp_path_factory):
     assert run(["evaluate", "--candidate", str(big), "--reference", str(data),
                 "--out", str(evaluated)]) == 0
     return {"data": data, "prices": prices, "ckpt": trained / "checkpoint.json",
-            "big": big, "evaluated": evaluated}
+            "huge_ckpt": huge_spec_checkpoint(trained / "checkpoint.json",
+                                              root / "huge.json"),
+            "big": big, "overflow": overflowing_series(root / "overflow.csv"),
+            "evaluated": evaluated}
 
 
 # ----------------------------------------------------------------------
@@ -226,14 +245,16 @@ def test_train(inputs, data):
 
 
 @FUZZ
-@given(data=st.data())
-def test_train_resume(inputs, data):
+@given(data=st.data(), source=st.just("ckpt"))
+@example(data=Drawn(False, []), source="huge_ckpt")
+def test_train_resume(inputs, data, source):
+    ckpt = inputs[source]
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
-        argv = ["train", "--resume", str(inputs["ckpt"]), "--data", str(inputs["data"]),
+        argv = ["train", "--resume", str(ckpt), "--data", str(inputs["data"]),
                 "--out", str(tmp / "out")]
         if data.draw(st.booleans()):
-            config = json.loads(inputs["ckpt"].read_text())["config"]
+            config = json.loads(ckpt.read_text())["config"]
             cfg_path = tmp / "config.json"
             cfg_path.write_text(json.dumps(data.draw(json_mutant(config))))
             argv += ["--config", str(cfg_path)]
@@ -241,12 +262,13 @@ def test_train_resume(inputs, data):
 
 
 @FUZZ
-@given(data=st.data())
-def test_generate(inputs, data):
+@given(data=st.data(), source=st.just("ckpt"))
+@example(data=Drawn("none", False, []), source="huge_ckpt")
+def test_generate(inputs, data, source):
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         ckpt = tmp / "checkpoint.json"
-        text = inputs["ckpt"].read_text()
+        text = inputs[source].read_text()
         how = data.draw(st.sampled_from(["bytes", "json", "none"]))
         if how == "bytes":
             ckpt.write_bytes(data.draw(byte_mutant(text.encode())))
@@ -261,19 +283,27 @@ def test_generate(inputs, data):
 
 
 @FUZZ
-@given(data=st.data())
-def test_evaluate(inputs, data):
+@given(data=st.data(), candidate=st.just("big"), reference=st.just("big"),
+       mutate=st.just(True))
+@example(data=Drawn([]), candidate="overflow", reference="big", mutate=False)
+@example(data=Drawn([]), candidate="big", reference="overflow", mutate=False)
+def test_evaluate(inputs, data, candidate, reference, mutate):
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         paths = {}
-        for role in ("candidate", "reference"):
+        for role, source in (("candidate", candidate), ("reference", reference)):
             paths[role] = tmp / f"{role}.csv"
-            shutil.copy(inputs["big"], paths[role])
-        mutated = paths[data.draw(st.sampled_from(sorted(paths)))]
-        mutated.write_bytes(data.draw(file_mutant(mutated.read_text())))
-        run(["evaluate", "--candidate", str(paths["candidate"]),
-             "--reference", str(paths["reference"]), "--out", str(tmp / "e")]
-            + data.draw(flags(EVALUATE_FLAG_VALUES)))
+            shutil.copy(inputs[source], paths[role])
+        if mutate:
+            mutated = paths[data.draw(st.sampled_from(sorted(paths)))]
+            mutated.write_bytes(data.draw(file_mutant(mutated.read_text())))
+        code = run(["evaluate", "--candidate", str(paths["candidate"]),
+                    "--reference", str(paths["reference"]), "--out", str(tmp / "e")]
+                   + data.draw(flags(EVALUATE_FLAG_VALUES)))
+        if code == 0:  # what evaluate writes is standard JSON and renders
+            json.loads((tmp / "e" / "report.json").read_text(),
+                       parse_constant=lambda name: pytest.fail(f"report.json has {name}"))
+            assert run(["report", "--out", str(tmp / "e")]) == 0
 
 
 @FUZZ

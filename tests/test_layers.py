@@ -358,6 +358,88 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
+def unfolded_eval(net, x):
+    """The eval forward with every layer on its own and each batch norm as
+    batch_norm_inference: the reference for the folded forward."""
+    for i, layer in enumerate(net.spec.layers):
+        params = [net.params[f"{i}.{name}"] for name, _, _ in layer.param_shapes()]
+        x = layer.forward(x, params, net.running.get(i), "eval", False)
+    return x
+
+
+def move_off_init(net, rng):
+    """Shift every parameter and running statistic off its initial value,
+    as training does, so each folded batch norm has a scale and a shift."""
+    for p in net.params.values():
+        p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+    for stats in net.running.values():
+        stats["mean"] = rng.normal(0.0, 0.5, stats["mean"].shape)
+        stats["var"] = rng.uniform(0.2, 2.0, stats["var"].shape)
+    return net
+
+
+class TestBatchNormFold:
+    @pytest.mark.parametrize("batch", [1, 32, 394])
+    @pytest.mark.parametrize("name", ly.PRESET_NAMES)
+    def test_folded_eval_matches_unfolded(self, name, batch, rng):
+        net = move_off_init(ly.build(ly.preset(name)[0], 3), rng)
+        z = ad.Tensor(rng.uniform(-1.0, 1.0, (batch, 100)))
+        with ad.no_grad():
+            got = net.forward(z, mode="eval").data
+            ref = unfolded_eval(net, z).data
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        if not net.running:  # nothing to fold: the same ops, the same bits
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("spec,calls", [
+        (ly.preset("dcgan1d")[0], 0),
+        (ly.preset("sagan1d")[0], 0),
+        # first, after a Dense (folded), after an activation
+        (ly.NetworkSpec([ly.BatchNorm(3), ly.Dense(3, 4), ly.BatchNorm(4),
+                         ly.Activation("relu"), ly.BatchNorm(4), ly.Dense(4, 2),
+                         ly.Activation("tanh")], (3,), "generator"), 2),
+        # after a Conv1d, as in the discriminators
+        (ly.preset("dcgan1d")[1], 2),
+    ], ids=["dcgan1d-g", "sagan1d-g", "first-dense-activation", "dcgan1d-d"])
+    def test_unfoldable_batch_norm_runs_as_inference_op(self, spec, calls, rng, monkeypatch):
+        net = move_off_init(ly.build(spec, 3), rng)
+        x = ad.Tensor(rng.uniform(-1.0, 1.0, (5,) + spec.input_shape))
+        with ad.no_grad():
+            ref = unfolded_eval(net, x).data
+            seen = []
+            real = ad.batch_norm_inference
+            monkeypatch.setattr(ad, "batch_norm_inference",
+                                lambda *a: seen.append(1) or real(*a))
+            got = net.forward(x, mode="eval").data
+        assert len(seen) == calls
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_recorded_eval_forward_gradients(self, rng):
+        # a batch norm after a Dense, after a Dense through a Reshape, and
+        # after a Conv1dTranspose; tanh keeps the finite differences smooth
+        spec = ly.NetworkSpec([
+            ly.Dense(3, 5), ly.BatchNorm(5), ly.Activation("tanh"),
+            ly.Dense(5, 2 * 4), ly.Reshape((2, 4)), ly.BatchNorm(2), ly.Activation("tanh"),
+            ly.Conv1dTranspose(2, 3, 4, stride=2, padding=1), ly.BatchNorm(3),
+            ly.Activation("tanh"),
+            ly.Conv1dTranspose(3, 1, 4, stride=2, padding=1), ly.Activation("tanh"),
+            ly.Reshape((16,)),
+        ], (3,), "generator")
+        assert ly._batch_norm_folds(spec.layers) == {0: 1, 3: 5, 7: 8}
+        net = move_off_init(ly.build(spec, 17), rng)
+        z = rng.uniform(-1, 1, size=(4, 3))
+        weights = rng.standard_normal((4, 16))
+        names = [name for name, _ in net.parameters()]
+        arrays = [p.data.copy() for _, p in net.parameters()]
+
+        def build(*tensors):
+            for name, t in zip(names, tensors):
+                net.params[name] = t
+            return (net.forward(ad.Tensor(z), mode="eval") * weights).sum()
+
+        check_gradients(build, arrays)
+
+
 class TestNetworkGradients:
     def test_tiny_generator_end_to_end(self, rng):
         net = ly.build(tiny_generator_spec(), 11)
