@@ -13,18 +13,20 @@ one). The ops in _FINITE_PRESERVING (neg, clip, the shape ops and the
 bounded activations) are not screened: their output is finite whenever
 their inputs are, and every input was screened when it was made.
 
-Five ops are fused, each one recorded op with a closed-form backward:
+Four ops are fused, each one recorded op with a closed-form backward:
 linear() is a dense layer x @ w.T + b, batch_norm() normalizes with batch
-statistics, batch_norm_inference() with frozen ones, softmax() is the
-stable exp(x - max) / sum(exp(x - max)) and self_attention() is a whole
-self-attention layer. Their backward closures ask whether the sweep
-records: a first-order sweep reads what the forward pass kept (and forms
-the dense-layer gradients with numpy directly), while a recording sweep
-(grad with create_graph) rebuilds it from the inputs with the ops above,
-so every gradient can be differentiated again. A non-finite value formed
-inside a fused op is reported as that op. Gradient masks (relu, leaky_relu,
-clip) are formed only when a backward closure runs, so a forward pass
-under no_grad allocates none.
+statistics, softmax() is the stable exp(x - max) / sum(exp(x - max)) and
+self_attention() is a whole self-attention layer. batch_norm_inference()
+normalizes with frozen statistics as a composite of the ops above (see
+frozen_batch_norm), so autodiff derives its gradients. The fused ops'
+backward closures ask whether the sweep records: a first-order sweep reads
+what the forward pass kept (and forms the dense-layer gradients with numpy
+directly), while a recording sweep (grad with create_graph) rebuilds it
+from the inputs with the ops above, so every gradient can be
+differentiated again. A non-finite value formed inside a fused op is
+reported as that op. Gradient masks (relu, leaky_relu, clip) are formed
+only when a backward closure runs, so a forward pass under no_grad
+allocates none.
 
 The reverse sweep computes only the branches that lead to its targets (the
 tensors grad() was asked about, or the leaves backward() fills): a node
@@ -167,12 +169,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -197,32 +193,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
 
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
     def __neg__(self):
         return neg(self)
 
     def __pow__(self, exponent):
         return powc(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self):
-        return transpose_last(self)
-
-    def backward(self):
-        backward(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -828,8 +803,10 @@ def _conv1d_kgrad(x3: Tensor, g3: Tensor, stride: int, padding: int, k: int,
 #
 # Training-mode batch norm is one recorded op whose backward is the closed
 # form of Ioffe & Szegedy (2015), written with the ops above so it can be
-# differentiated again. Inference mode is one recorded op too: a fixed
-# per-feature affine map of the frozen statistics.
+# differentiated again. Inference mode is a fixed per-feature affine map of
+# the frozen statistics, composed from those ops by frozen_batch_norm; a
+# network's eval forward folds it into the layer before it with the same
+# helper (layers._fold_batch_norm).
 # ---------------------------------------------------------------------
 
 def _feature_layout(x: Tensor, op: str):
@@ -897,21 +874,31 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     return y, mean.reshape(-1), var.reshape(-1)
 
 
+def frozen_batch_norm(y: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                      running_var: np.ndarray, eps: float, shape: tuple):
+    """Batch norm with frozen statistics, composed from module ops:
+    (y - mean) * scale + beta with scale = gamma * 1/sqrt(var + eps), formed
+    in that order, each per-feature constant viewed as ``shape`` (a view
+    that changes nothing records no op). Returns the mapped y and the
+    viewed scale. The statistics are constants; gradients reach y, gamma
+    and beta, and can be differentiated again."""
+    def view(t):
+        return t if t.shape == shape else reshape(t, shape)
+
+    inv = (1.0 / np.sqrt(running_var + eps)).reshape(shape)
+    scale = mul(view(gamma), Tensor(inv))
+    centered = sub(y, Tensor(running_mean.reshape(shape)))
+    return add(mul(centered, scale), view(beta)), scale
+
+
 def batch_norm_inference(x: Tensor, gamma: Tensor, beta: Tensor,
                          running_mean: np.ndarray, running_var: np.ndarray,
                          eps: float = 1e-5) -> Tensor:
     """Affine normalization of [B,F] or [B,C,L] input with frozen
-    per-feature statistics, as one recorded op: out = (x - mean) *
-    (gamma * inv) + beta with inv = 1/sqrt(var + eps), formed in that order
-    so it has the bits of the composite of sub, mul and add.
-
-    The running mean and variance are constants; gradients flow to x, gamma
-    and beta. The backward builds them with module ops in the composite's
-    order, g * (gamma * inv), sum(g * (x - mean)) * inv and sum(g), so a
-    recording sweep (create_graph) can differentiate them again.
-    """
+    per-feature statistics: frozen_batch_norm over the broadcast shape of
+    the features, so autodiff derives the gradients to x, gamma and beta."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    axes, bshape = _feature_layout(x, "batch_norm_inference")
+    _, bshape = _feature_layout(x, "batch_norm_inference")
     mean = np.asarray(running_mean, dtype=np.float64)
     var = np.asarray(running_var, dtype=np.float64)
     features = x.shape[1]
@@ -919,23 +906,7 @@ def batch_norm_inference(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"batch_norm_inference: gamma {gamma.shape}, beta {beta.shape}, "
                          f"mean {mean.shape} and variance {var.shape} need {features} "
                          f"entries")
-    mean = mean.reshape(bshape)
-    inv = (1.0 / np.sqrt(var + eps)).reshape(bshape)
-    out = x.data - mean
-    out *= gamma.data.reshape(bshape) * inv
-    out += beta.data.reshape(bshape)
-
-    def backward_fn(g, need):
-        inv_t = Tensor(inv)
-        gx = mul(g, mul(reshape(gamma, bshape), inv_t)) if need[0] else None
-        gg = None
-        if need[1]:
-            g_centered = tsum(mul(g, sub(x, Tensor(mean))), axis=axes, keepdims=True)
-            gg = reshape(mul(g_centered, inv_t), gamma.shape)
-        gb = reshape(tsum(g, axis=axes), beta.shape) if need[2] else None
-        return gx, gg, gb
-
-    return _record("batch_norm_inference", out, (x, gamma, beta), backward_fn)
+    return frozen_batch_norm(x, gamma, beta, mean, var, eps, bshape)[0]
 
 
 # ---------------------------------------------------------------------

@@ -282,6 +282,9 @@ def cmd_generate(args) -> int:
         windows = training.generate(state, n_windows, seed)
     except NonFiniteError as exc:
         raise CliError(EXIT_NUMERIC, f"generator produced non-finite output: {exc}") from exc
+    except MemoryError as exc:
+        raise CliError(EXIT_CONFIG, f"--n {args.n} is too large: cannot allocate "
+                                    f"{n_windows} windows of {seq_len} returns") from exc
     values = windows.reshape(-1)[: args.n] * state.data_scale
 
     returns_path = os.path.join(out, "generated.csv")

@@ -3,8 +3,8 @@
 Networks are described declaratively by a NetworkSpec (an ordered list of
 LayerSpecs plus the per-sample input shape) and instantiated by build(),
 which allocates and initializes parameter tensors. Keeping the description
-separate from the parameters makes shape validation, parameter counting
-and checkpointing straightforward.
+separate from the parameters makes shape validation and checkpointing
+straightforward.
 """
 
 import base64
@@ -154,27 +154,24 @@ class Conv1dTranspose(Conv1d, kind="conv1d_transpose"):
 
 def _fold_batch_norm(weight, bias, bn_params, running, axis):
     """The parameters of a layer followed by an eval-mode batch norm, which
-    maps each output channel by (y - mean) * scale + beta with
-    scale = gamma * 1/sqrt(var + eps): weight * scale, the scale broadcast
-    along the weight's output ``axis``, and (bias - mean) * scale + beta.
-    A Dense whose outputs a Reshape lays out as [C, L] has L channel-major
-    outputs per channel, so its weight and bias are viewed as [C, -1] for
-    the fold. Built from module ops on parameter-sized arrays, so a recorded
-    forward reaches gamma, beta, weight and bias."""
+    maps each output channel by ad.frozen_batch_norm: the bias goes through
+    that map, (bias - mean) * scale + beta, and the weight is multiplied by
+    its scale along the weight's output ``axis``. A Dense whose outputs a
+    Reshape lays out as [C, L] has L channel-major outputs per channel, so
+    its weight and bias are viewed as [C, -1] for the fold. Built from
+    module ops on parameter-sized arrays, so a recorded forward reaches
+    gamma, beta, weight and bias."""
     gamma, beta = bn_params
     channels = gamma.size
-    scale = ad.mul(gamma, Tensor(1.0 / np.sqrt(running["var"] + BN_EPS)))
     if bias.size == channels:
+        b, scale = ad.frozen_batch_norm(bias, gamma, beta, running["mean"], running["var"],
+                                        BN_EPS, (channels,))
         view = [1] * weight.ndim
         view[axis] = channels
-        return (ad.mul(weight, ad.reshape(scale, tuple(view))),
-                ad.add(ad.mul(ad.sub(bias, Tensor(running["mean"])), scale), beta))
-    per_channel = (channels, 1)
-    w = ad.mul(ad.reshape(weight, (channels, -1)), ad.reshape(scale, per_channel))
-    b = ad.mul(ad.sub(ad.reshape(bias, (channels, -1)),
-                      Tensor(running["mean"].reshape(per_channel))),
-               ad.reshape(scale, per_channel))
-    b = ad.add(b, ad.reshape(beta, per_channel))
+        return ad.mul(weight, ad.reshape(scale, tuple(view))), b
+    b, scale = ad.frozen_batch_norm(ad.reshape(bias, (channels, -1)), gamma, beta,
+                                    running["mean"], running["var"], BN_EPS, (channels, 1))
+    w = ad.mul(ad.reshape(weight, (channels, -1)), scale)
     return ad.reshape(w, weight.shape), ad.reshape(b, bias.shape)
 
 
@@ -335,11 +332,6 @@ def validate(spec: NetworkSpec) -> tuple:
     return shapes[-1]
 
 
-def param_count(spec: NetworkSpec) -> int:
-    return sum(int(np.prod(shape)) for layer in spec.layers
-               for _, shape, _ in layer.param_shapes())
-
-
 def _b64(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
@@ -373,11 +365,12 @@ class Network:
         In train mode batch_norm uses batch statistics (and, when
         update_stats is true, refreshes the running estimates); in eval
         mode it uses the stored running statistics. An eval-mode batch norm
-        right after a Conv1dTranspose, or after a Dense directly or through
-        one Reshape to [C, L], is a fixed per-channel affine map, so it is
-        folded into that layer's parameters (see _batch_norm_folds) instead
-        of mapping the activations; anywhere else it runs as
-        batch_norm_inference.
+        is the fixed per-channel map ad.frozen_batch_norm. Right after a
+        Conv1dTranspose, or after a Dense directly or through one Reshape
+        to [C, L], it is folded into that layer's parameters (see
+        _batch_norm_folds) instead of mapping the activations; anywhere
+        else it runs as batch_norm_inference, the same map over the
+        activations.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")

@@ -54,13 +54,6 @@ class FactThresholds:
         d["aggregational_scales"] = list(self.aggregational_scales)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FactThresholds":
-        d = dict(d)
-        if "aggregational_scales" in d:
-            d["aggregational_scales"] = tuple(d["aggregational_scales"])
-        return cls(**d)
-
 
 def _as_values(r) -> np.ndarray:
     values = np.asarray(getattr(r, "values", r), dtype=np.float64)

@@ -392,9 +392,13 @@ def _g_update(state, wasserstein, epoch, record_hook):
 
 
 def _sample_eval(state, n_series: int, rng) -> np.ndarray:
-    """Generator output in eval mode using the given RNG for noise."""
+    """Generator output in eval mode using the given RNG for noise. Raises
+    MemoryError when the [n_series, seq_len] output cannot be allocated."""
     config = state.config
-    out = np.empty((n_series, config.seq_len))
+    try:
+        out = np.empty((n_series, config.seq_len))
+    except ValueError as exc:  # numpy: larger than the address space can index
+        raise MemoryError(str(exc)) from exc
     # NoiseSource draws from the given Generator itself, advancing its stream
     noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, rng)
     done = 0

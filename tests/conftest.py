@@ -1,5 +1,6 @@
-"""Shared test helpers: a central finite-difference gradient checker, and
-two inputs the CLI must refuse without a traceback."""
+"""Shared test helpers: a central finite-difference gradient checker, a
+bit-for-bit view of float arrays, and two inputs the CLI must refuse
+without a traceback."""
 
 import json
 
@@ -67,6 +68,11 @@ def check_gradients(build, arrays, rel_tol=FD_REL_TOL, abs_floor=FD_ABS_FLOOR,
                 f"gradient mismatch for input {i} at {worst}: "
                 f"analytic {analytic[worst]!r} vs numeric {numeric[worst]!r}")
     return grads
+
+
+def bits(a):
+    """The float64 values of ``a`` as int64, for bit-for-bit comparisons."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 def huge_spec_checkpoint(ckpt, path):

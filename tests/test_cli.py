@@ -11,6 +11,7 @@ import json
 import math
 import os
 import platform
+import resource
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -294,6 +295,24 @@ class TestGenerateCommand:
         assert main(base + ["--n", "4", "--prices"]) == 2
         assert main(base + ["--n", "4", "--prices", "--p0", "-5"]) == 2
         assert main(base + ["--n", "4", "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("n", [10 ** 12, 10 ** 19])
+    def test_exit_2_when_n_cannot_be_allocated(self, work, tmp_path, capsys, n):
+        # 10**12 returns need 7.3 TiB; 10**19 more than numpy can index. The
+        # address-space cap refuses the first at once also where the kernel
+        # would overcommit it, so neither case allocates anything.
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2 ** 40 if soft == resource.RLIM_INFINITY else min(soft, 2 ** 40)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            code = main(["generate", "--checkpoint", str(work["ckpt"]), "--n", str(n),
+                         "--out", str(tmp_path)])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --n {n} is too large")
+        assert not (tmp_path / "generated.csv").exists()
 
     def test_exit_3_on_missing_checkpoint(self, tmp_path):
         assert main(["generate", "--checkpoint", str(tmp_path / "gone.json"),

@@ -5,7 +5,7 @@ import pytest
 
 import marketgan.autodiff as ad
 import marketgan.layers as ly
-from conftest import check_gradients
+from conftest import bits, check_gradients
 
 
 def tiny_generator_spec():
@@ -176,8 +176,9 @@ class TestPresets:
     @pytest.mark.parametrize("name", ly.PRESET_NAMES)
     def test_param_counts_frozen(self, name):
         g_spec, d_spec = ly.preset(name, seq_len=127, latent_dim=100)
-        assert (ly.param_count(g_spec), ly.param_count(d_spec)) \
-            == self.EXPECTED_COUNTS[name]
+        counts = tuple(sum(p.size for p in ly.build(spec, 0).params.values())
+                       for spec in (g_spec, d_spec))
+        assert counts == self.EXPECTED_COUNTS[name]
 
     @pytest.mark.parametrize("name", ly.PRESET_NAMES)
     def test_preset_validates_and_runs(self, name):
@@ -378,7 +379,71 @@ def move_off_init(net, rng):
     return net
 
 
+def fold_spec():
+    """A batch norm after a Dense, after a Dense through a Reshape, and after
+    a Conv1dTranspose; tanh keeps finite differences smooth."""
+    return ly.NetworkSpec([
+        ly.Dense(3, 5), ly.BatchNorm(5), ly.Activation("tanh"),
+        ly.Dense(5, 2 * 4), ly.Reshape((2, 4)), ly.BatchNorm(2), ly.Activation("tanh"),
+        ly.Conv1dTranspose(2, 3, 4, stride=2, padding=1), ly.BatchNorm(3),
+        ly.Activation("tanh"),
+        ly.Conv1dTranspose(3, 1, 4, stride=2, padding=1), ly.Activation("tanh"),
+        ly.Reshape((16,)),
+    ], (3,), "generator")
+
+
+def numpy_fold(weight, bias, gamma, beta, mean, var, axis):
+    """The README's fold in plain numpy, each channel's constants repeated
+    over the outputs of that channel: weight * scale and (bias - mean) *
+    scale + beta with scale = gamma * (1 / sqrt(var + eps))."""
+    def per_output(v):
+        return np.repeat(v, bias.size // gamma.size)
+
+    scale = gamma * (1.0 / np.sqrt(var + ly.BN_EPS))
+    along_axis = [1] * weight.ndim
+    along_axis[axis] = -1
+    return (weight * per_output(scale).reshape(along_axis),
+            (bias - per_output(mean)) * per_output(scale) + per_output(beta))
+
+
 class TestBatchNormFold:
+    @pytest.mark.parametrize("spec", [fold_spec()] + [ly.preset(name)[0] for name in
+                                                      ("dcgan1d", "wgan_gp", "sagan1d")],
+                             ids=["dense-reshape-conv", "dcgan1d-g", "wgan_gp-g", "sagan1d-g"])
+    def test_fold_has_the_bits_of_the_formula(self, spec, rng):
+        net = move_off_init(ly.build(spec, 3), rng)
+        folds = ly._batch_norm_folds(spec.layers)
+        assert folds
+        for i, j in folds.items():
+            weight, bias = net._layer_params(i)
+            gamma, beta = net._layer_params(j)
+            stats = net.running[j]
+            axis = spec.layers[i].fold_axis
+            got = ly._fold_batch_norm(weight, bias, (gamma, beta), stats, axis)
+            want = numpy_fold(weight.data, bias.data, gamma.data, beta.data,
+                              stats["mean"], stats["var"], axis)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(bits(g.data), bits(w), err_msg=f"layer {i}")
+
+    @pytest.mark.parametrize("name", ly.PRESET_NAMES)
+    def test_recorded_eval_forward_reshapes_only_to_a_new_shape(self, name, rng,
+                                                                monkeypatch):
+        net = ly.build(ly.preset(name)[0], 3)
+        for p in net.params.values():
+            p.requires_grad = True
+        identities = []
+        real = ad._record
+
+        def record(op, out, inputs, backward_fn):
+            if op == "reshape" and inputs[0].shape == out.shape:
+                identities.append(inputs[0].shape)
+            return real(op, out, inputs, backward_fn)
+
+        monkeypatch.setattr(ad, "_record", record)
+        net.forward(ad.Tensor(rng.uniform(-1.0, 1.0, (2, 100))), mode="eval")
+        assert identities == []
+
     @pytest.mark.parametrize("batch", [1, 32, 394])
     @pytest.mark.parametrize("name", ly.PRESET_NAMES)
     def test_folded_eval_matches_unfolded(self, name, batch, rng):
@@ -415,16 +480,7 @@ class TestBatchNormFold:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_recorded_eval_forward_gradients(self, rng):
-        # a batch norm after a Dense, after a Dense through a Reshape, and
-        # after a Conv1dTranspose; tanh keeps the finite differences smooth
-        spec = ly.NetworkSpec([
-            ly.Dense(3, 5), ly.BatchNorm(5), ly.Activation("tanh"),
-            ly.Dense(5, 2 * 4), ly.Reshape((2, 4)), ly.BatchNorm(2), ly.Activation("tanh"),
-            ly.Conv1dTranspose(2, 3, 4, stride=2, padding=1), ly.BatchNorm(3),
-            ly.Activation("tanh"),
-            ly.Conv1dTranspose(3, 1, 4, stride=2, padding=1), ly.Activation("tanh"),
-            ly.Reshape((16,)),
-        ], (3,), "generator")
+        spec = fold_spec()
         assert ly._batch_norm_folds(spec.layers) == {0: 1, 3: 5, 7: 8}
         net = move_off_init(ly.build(spec, 17), rng)
         z = rng.uniform(-1, 1, size=(4, 3))
@@ -435,7 +491,7 @@ class TestBatchNormFold:
         def build(*tensors):
             for name, t in zip(names, tensors):
                 net.params[name] = t
-            return (net.forward(ad.Tensor(z), mode="eval") * weights).sum()
+            return ad.tsum(net.forward(ad.Tensor(z), mode="eval") * weights)
 
         check_gradients(build, arrays)
 
@@ -451,7 +507,7 @@ class TestNetworkGradients:
             for name, t in zip(names, tensors):
                 net.params[name] = t
             out = net.forward(ad.Tensor(z), mode="train", update_stats=False)
-            return (out * out).sum()
+            return ad.tsum(out * out)
 
         check_gradients(build, arrays)
 
@@ -465,7 +521,7 @@ class TestNetworkGradients:
             for name, t in zip(names, tensors):
                 net.params[name] = t
             out = net.forward(ad.Tensor(x), mode="train", update_stats=False)
-            return (out * out).sum()
+            return ad.tsum(out * out)
 
         check_gradients(build, arrays)
 
@@ -477,7 +533,7 @@ class TestNetworkGradients:
         gamma = np.array(0.7)
 
         def build(tx, tq, tk, tv, tg):
-            return (ad.self_attention(tx, tq, tk, tv, tg) ** 2).sum()
+            return ad.tsum(ad.self_attention(tx, tq, tk, tv, tg) ** 2)
 
         check_gradients(build, [x, wq, wk, wv, gamma])
 

@@ -92,10 +92,10 @@ class TestAdamConvergence:
         for step in range(1, 501):
             x = Tensor(theta.data, requires_grad=True)
             loss = (x - 3.0) ** 2
-            ad.backward(loss.sum())
+            ad.backward(ad.tsum(loss))
             theta.grad = x.grad
             opt.step([("theta", theta)])
-            theta.zero_grad()
+            theta.grad = None
             if abs(float(theta.data) - 3.0) < 1e-2:
                 break
         assert abs(float(theta.data) - 3.0) < 1e-2

@@ -492,7 +492,7 @@ class TestReportSchema:
         report = evaluate(white_noise, white_noise, thresholds=t)
         d = report.to_dict()["thresholds"]
         assert d["volatility_summary_min"] == 0.07
-        assert FactThresholds.from_dict(d) == t
+        assert d == t.to_dict()
 
     def test_custom_thresholds_change_verdicts(self, white_noise):
         strict = FactThresholds(heavy_tails_min_excess_kurtosis=-1.0)
