@@ -24,6 +24,7 @@ from . import plots
 from . import stylized_facts as sf
 from . import training
 from .autodiff import NonFiniteError
+from .layers import PRESET_NAMES
 from .market_data import (DataError, atomic_write_text, load_return_series,
                           normalize_and_window, open_input, returns_to_prices,
                           write_returns_csv)
@@ -217,10 +218,6 @@ def cmd_train(args) -> int:
         dataset = normalize_and_window(returns.values, config.seq_len, stride)
     except (DataError, OSError) as exc:
         raise CliError(EXIT_DATA, f"bad input data: {exc}") from exc
-    if dataset.windows.shape[0] < 2:
-        raise CliError(EXIT_DATA,
-                       f"only {dataset.windows.shape[0]} window(s) of length "
-                       f"{config.seq_len}; need at least 2")
 
     ckpt_path = os.path.join(out, "checkpoint.json")
 
@@ -475,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, metavar="U64", help="master RNG seed")
     p.add_argument("--data", metavar="PATH",
                    help="input CSV: date,adjusted_close prices or index,log_return returns")
-    p.add_argument("--variant", choices=("mlp_gan", "dcgan1d", "wgan_gp", "sagan1d"),
+    p.add_argument("--variant", choices=PRESET_NAMES,
                    help="network preset (default dcgan1d)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)

@@ -34,12 +34,10 @@ class LayerSpec:
     new_running() stats. Every int field, and every entry of a tuple
     field, must be >= 1 (`padding` >= 0)."""
     kind = ""
-    _kinds = {}  # kind name -> subclass
 
     def __init_subclass__(cls, kind: str, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.kind = kind
-        LayerSpec._kinds[kind] = cls
 
     def __post_init__(self):
         for f in fields(self):
@@ -68,17 +66,6 @@ class LayerSpec:
     def to_dict(self) -> dict:
         d = {"kind": self.kind, **asdict(self)}
         return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerSpec":
-        d = dict(d)
-        kind = d.pop("kind", None)
-        if not isinstance(kind, str) or kind not in cls._kinds:
-            raise BuildError(f"unknown layer kind {kind!r}")
-        try:
-            return cls._kinds[kind](**d)
-        except TypeError as e:  # a missing or foreign field
-            raise BuildError(f"{kind}: {e}") from e
 
 
 def _expect_channels(shape: tuple, channels: int):
@@ -216,8 +203,8 @@ class Activation(LayerSpec, kind="activation"):
             raise BuildError(f"activation: unknown function {self.fn!r}")
         if self.fn == "leaky_relu" and not 0.0 < self.alpha < 1.0:
             raise BuildError("activation: alpha must lie in (0,1)")
-        # to_dict drops alpha where it does not act, so only the default
-        # (the class attribute) round-trips there
+        # to_dict drops alpha where it does not act, so only the default (the
+        # class attribute) is allowed there: equal dicts mean equal specs
         if self.fn != "leaky_relu" and self.alpha != Activation.alpha:
             raise BuildError(f"activation: alpha applies only to leaky_relu, not {self.fn!r}")
 
@@ -286,14 +273,6 @@ class NetworkSpec:
             "input_shape": list(self.input_shape),
             "role": self.role,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(
-            layers=[LayerSpec.from_dict(x) for x in d["layers"]],
-            input_shape=tuple(d["input_shape"]),
-            role=d["role"],
-        )
 
 
 def infer_shapes(spec: NetworkSpec) -> list:
@@ -414,32 +393,31 @@ class Network:
             "running": running,
         }
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "Network":
-        spec = NetworkSpec.from_dict(state["spec"])
-        net = build(spec, int(state["init_seed"]))
-        if set(state["params"]) != set(net.params):
+    def load_state_dict(self, state: dict):
+        """Load the trained values of a state_dict(), its parameters and
+        running statistics, into this network in place; the stored spec and
+        init seed are not read. Names and shapes must be this network's."""
+        if set(state["params"]) != set(self.params):
             raise BuildError(f"checkpoint parameters {sorted(state['params'])} do not "
-                             f"match the spec's {sorted(net.params)}")
-        if set(state["running"]) != {str(i) for i in net.running}:
+                             f"match the spec's {sorted(self.params)}")
+        if set(state["running"]) != {str(i) for i in self.running}:
             raise BuildError(f"checkpoint running statistics for layers "
                              f"{sorted(state['running'])} do not match the spec's "
-                             f"batch-norm layers {sorted(net.running)}")
+                             f"batch-norm layers {sorted(self.running)}")
         for name, entry in state["params"].items():
             arr = _unb64(entry["data"], entry["shape"])
-            if arr.shape != net.params[name].shape:
+            if arr.shape != self.params[name].shape:
                 raise BuildError(f"checkpoint parameter {name!r} has shape "
-                                 f"{arr.shape}, spec wants {net.params[name].shape}")
-            net.params[name].data = arr
+                                 f"{arr.shape}, spec wants {self.params[name].shape}")
+            self.params[name].data = arr
         for idx_str, stats in state["running"].items():
-            running = net.running[int(idx_str)]
+            running = self.running[int(idx_str)]
             for key in running:
                 arr = _unb64(stats[key]["data"], stats[key]["shape"])
                 if arr.shape != running[key].shape:
                     raise BuildError(f"checkpoint running {key} of layer {idx_str} has "
                                      f"shape {arr.shape}, spec wants {running[key].shape}")
                 running[key] = arr
-        return net
 
 
 def _batch_norm_folds(layers: list) -> dict:

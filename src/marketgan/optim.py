@@ -49,9 +49,6 @@ class SGD:
     def state_dict(self) -> dict:
         return {"kind": "sgd", "lr": self.lr}
 
-    def load_state_dict(self, state: dict):
-        self.lr = float(state["lr"])
-
 
 class Adam:
     def __init__(self, lr: float = ADAM_LR, beta1: float = ADAM_BETA1,
@@ -96,31 +93,26 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict):
-        self.lr = float(state["lr"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
+        """Load the step count and moments of a state_dict(); the settings
+        stay the ones this optimizer was built with."""
         self.t = int(state["t"])
         self.m = {k: _unb64(e["data"], e["shape"]) for k, e in state["m"].items()}
         self.v = {k: _unb64(e["data"], e["shape"]) for k, e in state["v"].items()}
 
 
 def make_optimizer(settings: dict):
-    """Build an optimizer from a flat settings dict ({"kind", "lr", ...})."""
+    """Build an optimizer from a flat settings dict ({"kind", "lr", ...}).
+    A missing setting takes its ADAM_* default, SGD's lr too: those are the
+    values TrainConfig.to_flat writes for it."""
     kind = settings.get("kind", "adam")
+    lr = float(settings.get("lr", ADAM_LR))
     if kind == "sgd":
-        return SGD(lr=float(settings.get("lr", 1e-2)))
+        return SGD(lr=lr)
     if kind == "adam":
         return Adam(
-            lr=float(settings.get("lr", ADAM_LR)),
+            lr=lr,
             beta1=float(settings.get("beta1", ADAM_BETA1)),
             beta2=float(settings.get("beta2", ADAM_BETA2)),
             eps=float(settings.get("eps", ADAM_EPS)),
         )
     raise ValueError(f"unknown optimizer kind {kind!r}")
-
-
-def restore_optimizer(state: dict):
-    opt = make_optimizer(state)
-    opt.load_state_dict(state)
-    return opt

@@ -10,7 +10,10 @@ every stream's state is serialized into checkpoints, and the loop never
 reorders work, so a run is reproducible bit for bit and can resume from a
 checkpoint as if it had never stopped. Training always runs the full
 epoch budget: loss levels are not a stopping signal for adversarial
-training, so model selection happens afterwards from checkpoints.
+training. Model selection needs the states of earlier epochs, which only
+a library checkpoint_hook can keep: the CLI's --checkpoint-interval
+overwrites its one checkpoint.json, so a CLI run keeps only its latest
+state.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ class TrainState:
         self.grad_norm_history: list = []   # (step, mean interpolate grad norm)
 
 
-def _fresh_state(config: TrainConfig, dataset: WindowedDataset) -> TrainState:
+def _fresh_state(config: TrainConfig, data_scale: float, n_windows: int) -> TrainState:
     ss = np.random.SeedSequence(config.seed)
     g_init, d_init, noise_seed, shuffle_seed, gp_seed, diag_seed = ss.spawn(6)
     g_spec, d_spec = ly.preset(config.gan_variant, config.seq_len, config.latent_dim)
@@ -236,13 +239,14 @@ def _fresh_state(config: TrainConfig, dataset: WindowedDataset) -> TrainState:
         np.random.default_rng(shuffle_seed),
         np.random.default_rng(gp_seed),
         np.random.default_rng(diag_seed),
-        dataset.scale, len(dataset),
+        data_scale, n_windows,
     )
 
 
 def _check_dataset(config: TrainConfig, dataset: WindowedDataset):
-    if len(dataset) == 0:
-        raise ValueError("dataset has no windows")
+    if len(dataset) < 2:    # a batch needs two windows, so fewer never train
+        raise DataError(f"dataset has {'only 1 window' if len(dataset) else 'no windows'}; "
+                        "training needs at least 2")
     if dataset.window_length != config.seq_len:
         raise ValueError(
             f"dataset windows have length {dataset.window_length}, "
@@ -262,7 +266,7 @@ def train(config: TrainConfig, dataset: WindowedDataset, *,
     record_hook(LossRecord) fires per parameter update."""
     config.validate()
     _check_dataset(config, dataset)
-    state = _fresh_state(config, dataset)
+    state = _fresh_state(config, dataset.scale, len(dataset))
     return _run(state, dataset, checkpoint_hook, record_hook)
 
 
@@ -491,7 +495,9 @@ def _check_arrays(key: str, arrays: dict, non_negative: bool = False):
             raise CheckpointError(f"checkpoint field {key!r}: {name} has negative entries")
 
 
-def _check_network(key: str, net: ly.Network):
+def _load_network(key: str, net: ly.Network, stored: dict):
+    with _reading(key):
+        net.load_state_dict(stored)
     _check_arrays(key, {name: p.data for name, p in net.params.items()})
     for idx, stats in net.running.items():
         _check_arrays(key, {f"running mean of layer {idx}": stats["mean"]})
@@ -499,12 +505,16 @@ def _check_network(key: str, net: ly.Network):
                       non_negative=True)
 
 
-def _check_optimizer(key: str, opt, net: ly.Network):
-    """Adam's moments must continue the run exactly: none before the first
-    step, afterwards one finite entry per parameter with its shape (and a
-    non-negative second moment)."""
+def _load_optimizer(key: str, opt, stored: dict, net: ly.Network):
+    """Load Adam's step count and moments (SGD keeps none). They must
+    continue the run exactly: no moments before the first step, afterwards
+    one finite entry per parameter with its shape (and a non-negative
+    second moment)."""
     if not isinstance(opt, optim.Adam):
         return
+    with _reading(key):
+        _whole_number("t", stored["t"])     # load_state_dict's int() would truncate
+        opt.load_state_dict(stored)
     if opt.t < 0:
         raise CheckpointError(f"checkpoint field {key!r}: step count {opt.t} is negative")
     expected = set(net.params) if opt.t > 0 else set()
@@ -522,17 +532,34 @@ def _check_optimizer(key: str, opt, net: ly.Network):
                       non_negative=part == "v")
 
 
+def _check_decided(doc: dict, key: str, name: str, fresh, message: str = ""):
+    """doc[key][name] is a field the config decides: it must be exactly the
+    ``fresh`` value a state built from that config writes, type included
+    (1 is not 1.0)."""
+    with _reading(key):
+        stored = doc[key][name]
+        same = json.dumps(stored, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+    if not same:
+        raise CheckpointError(f"checkpoint field {key!r}: " + (
+            message or f"{name} {stored!r} is not the {fresh!r} its config sets"))
+
+
 def _count(key: str, value) -> int:
     with _reading(key):
-        n = int(value)
+        n = _whole_number(key, value)
     if n < 0:
         raise CheckpointError(f"checkpoint field {key!r} is negative: {n}")
     return n
 
 
 def state_from_document(doc: dict) -> TrainState:
-    """Rebuild a TrainState from a checkpoint document. Every malformed,
-    missing or non-finite field raises CheckpointError naming it."""
+    """Load a checkpoint document into the fresh state its config builds.
+    The config decides each network's spec and init seed and each
+    optimizer's settings, so the document's copies must equal what that
+    fresh state writes; only the trained values are read into it: the
+    parameters, running statistics, Adam's step count and moments, the RNG
+    states, epoch and step. Every malformed, missing, non-finite or
+    disagreeing field raises CheckpointError naming it."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -543,48 +570,35 @@ def state_from_document(doc: dict) -> TrainState:
         config = TrainConfig.from_flat(doc["config"])
         config.validate()
         specs = ly.preset(config.gan_variant, config.seq_len, config.latent_dim)
-    nets = {}
+    # compare before building, so that an edited config cannot make the load
+    # allocate networks that no stored spec describes
     for key, spec in zip(("generator", "discriminator"), specs):
-        # compare before building: a stored spec sizes every allocation
-        with _reading(key):
-            stored = ly.NetworkSpec.from_dict(doc[key]["spec"])
-        if stored != spec:
-            raise CheckpointError(f"checkpoint field {key!r}: spec is not the preset "
-                                  f"its config names ({config.gan_variant})")
-        with _reading(key):
-            nets[key] = ly.Network.from_state_dict(doc[key])
-        _check_network(key, nets[key])
-    opts = {}
-    for key, net in (("g_optimizer", nets["generator"]),
-                     ("d_optimizer", nets["discriminator"])):
-        with _reading(key):
-            opts[key] = optim.restore_optimizer(doc[key])
-        _check_optimizer(key, opts[key], net)
+        _check_decided(doc, key, "spec", spec.to_dict(), "spec is not the preset its "
+                       f"config names ({config.gan_variant})")
     with _reading("data_scale"):
         data_scale = float(doc["data_scale"])
     if not (math.isfinite(data_scale) and data_scale > 0):
         raise CheckpointError(f"checkpoint field 'data_scale' must be positive "
                               f"and finite, got {data_scale!r}")
-    n_windows = _count("n_windows", doc.get("n_windows"))
-    epoch = _count("epoch", doc.get("epoch"))
-    step = _count("step", doc.get("step"))
+    state = _fresh_state(config, data_scale, _count("n_windows", doc.get("n_windows")))
+    for key, net in (("generator", state.g_net), ("discriminator", state.d_net)):
+        _check_decided(doc, key, "init_seed", net.init_seed)
+        _load_network(key, net, doc[key])
+    for key, opt, net in (("g_optimizer", state.g_opt, state.g_net),
+                          ("d_optimizer", state.d_opt, state.d_net)):
+        fresh = opt.state_dict()
+        for name in ("kind", "lr", "beta1", "beta2", "eps"):
+            if name in fresh:   # SGD writes only kind and lr
+                _check_decided(doc, key, name, fresh[name])
+        _load_optimizer(key, opt, doc[key], net)
     with _reading("rng"):
         rng_doc = dict(doc["rng"])
-    with _reading("rng.noise"):
-        noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, 0)
-        noise.rng.bit_generator.state = rng_doc["noise"]
-    state = TrainState(
-        config, nets["generator"], nets["discriminator"],
-        opts["g_optimizer"], opts["d_optimizer"], noise,
-        np.random.default_rng(0), np.random.default_rng(0), np.random.default_rng(0),
-        data_scale, n_windows,
-    )
-    for name, rng in (("shuffle", state.shuffle_rng), ("gp", state.gp_rng),
-                      ("diag", state.diag_rng)):
+    for name, rng in (("noise", state.noise.rng), ("shuffle", state.shuffle_rng),
+                      ("gp", state.gp_rng), ("diag", state.diag_rng)):
         with _reading(f"rng.{name}"):
             rng.bit_generator.state = rng_doc[name]
-    state.epoch = epoch
-    state.step = step
+    state.epoch = _count("epoch", doc.get("epoch"))
+    state.step = _count("step", doc.get("step"))
     return state
 
 

@@ -340,6 +340,9 @@ MALFORMED_CHECKPOINTS = {
     "null_n_windows": lambda doc: doc.update(n_windows=None),
     "string_config": lambda doc: doc.update(config="x"),
     "string_step": lambda doc: doc.update(step="abc"),
+    "fractional_epoch": lambda doc: doc.update(epoch=doc["epoch"] + 0.5),
+    "fractional_adam_step": lambda doc: doc["d_optimizer"].update(
+        t=doc["d_optimizer"]["t"] + 0.5),
     "parameter_shape": lambda doc: doc["generator"]["params"]["0.weight"].update(shape=[1]),
     "nan_weights": _nan_weights,
     "empty_adam_moments": lambda doc: doc["g_optimizer"].update(m={}),
@@ -348,6 +351,21 @@ MALFORMED_CHECKPOINTS = {
         seq_len=doc["config"]["seq_len"] + 1),
     "spec_extra_tanh": lambda doc: doc["generator"]["spec"]["layers"].append(
         {"kind": "activation", "fn": "tanh"}),
+    "spec_unknown_kind": lambda doc: doc["generator"]["spec"]["layers"][1].update(
+        kind="dropout"),
+    "spec_foreign_field": lambda doc: doc["generator"]["spec"]["layers"][0].update(
+        kernel_size=3),
+    "spec_relu_with_alpha": lambda doc: doc["generator"]["spec"]["layers"][1].update(
+        fn="relu", alpha=0.1),
+    # the default alpha, which acts only on leaky_relu, is not written for tanh
+    "spec_default_alpha_on_tanh": lambda doc: doc["discriminator"]["spec"]["layers"][1]
+    .update(alpha=0.2),
+    # the config says Adam at 2e-4 for both networks and seed 5
+    "optimizer_kind_not_config": lambda doc: doc.update(
+        d_optimizer={"kind": "sgd", "lr": 5.0}),
+    "learning_rate_not_config": lambda doc: doc["g_optimizer"].update(lr=0.5),
+    "init_seed_not_config": lambda doc: doc["generator"].update(
+        init_seed=doc["generator"]["init_seed"] + 1),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import marketgan.autodiff as ad
 import marketgan.optim as optim
+from conftest import bits
 from marketgan.autodiff import Tensor
 
 
@@ -31,10 +32,12 @@ class TestSGD:
             optim.SGD(lr=0.0)
 
     def test_state_roundtrip(self):
-        opt = optim.SGD(lr=0.3)
-        clone = optim.restore_optimizer(opt.state_dict())
-        assert isinstance(clone, optim.SGD)
-        assert clone.lr == 0.3
+        # SGD's state is its settings; a checkpoint load requires them to be
+        # what the config builds
+        opt = optim.make_optimizer({"kind": "sgd", "lr": 0.3})
+        assert isinstance(opt, optim.SGD)
+        assert opt.state_dict() == {"kind": "sgd", "lr": 0.3}
+        assert optim.make_optimizer({"kind": "sgd"}).lr == optim.ADAM_LR
 
 
 class TestAdamHandOracle:
@@ -152,14 +155,15 @@ class TestSerialization:
         for g in grads[:5]:
             p1.grad = g
             opt.step([("w", p1)])
-        clone = optim.restore_optimizer(opt.state_dict())
+        clone = optim.Adam(lr=0.02, beta1=0.6)
+        clone.load_state_dict(opt.state_dict())
         p2 = param(p1.data.copy())
         for g in grads[5:]:
             p1.grad = g
             opt.step([("w", p1)])
             p2.grad = g
             clone.step([("w", p2)])
-        np.testing.assert_array_equal(p1.data, p2.data)
+        np.testing.assert_array_equal(bits(p1.data), bits(p2.data))
         assert clone.t == opt.t
 
     def test_state_is_json_compatible(self):
@@ -168,9 +172,20 @@ class TestSerialization:
         opt = optim.Adam()
         opt.step([("w", p)])
         doc = json.loads(json.dumps(opt.state_dict()))
-        clone = optim.restore_optimizer(doc)
+        clone = optim.Adam()
+        clone.load_state_dict(doc)
+        assert clone.t == opt.t
         np.testing.assert_array_equal(clone.m["w"], opt.m["w"])
         np.testing.assert_array_equal(clone.v["w"], opt.v["w"])
+
+    def test_load_keeps_the_built_settings(self):
+        p = param(np.ones(3), grad=np.ones(3))
+        opt = optim.Adam(lr=0.5, beta1=0.1, beta2=0.2, eps=0.3)
+        opt.step([("w", p)])
+        clone = optim.Adam()
+        clone.load_state_dict(opt.state_dict())
+        assert (clone.lr, clone.beta1, clone.beta2, clone.eps) == \
+            (optim.ADAM_LR, optim.ADAM_BETA1, optim.ADAM_BETA2, optim.ADAM_EPS)
 
     def test_make_optimizer_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from marketgan import training
-from marketgan.market_data import WindowedDataset, normalize_and_window
+from marketgan import optim, training
+from marketgan.market_data import DataError, WindowedDataset, normalize_and_window
 from marketgan.training import (
     CheckpointError,
     LossRecord,
@@ -214,6 +214,17 @@ class TestTrainMechanics:
         with pytest.raises(ValueError, match="no windows"):
             train(small_config(), empty)
 
+    def test_rejects_single_window_dataset(self):
+        # a batch needs two windows, so one window would run every epoch
+        # with no update
+        one = normalize_and_window(np.full(8, 0.01), 8)
+        with pytest.raises(DataError, match="only 1 window"):
+            train(small_config(), one)
+        state = train(small_config(epochs=1), small_dataset())
+        state.config.epochs = 2
+        with pytest.raises(DataError, match="only 1 window"):
+            resume(state, one)
+
     def test_rejects_invalid_config(self):
         with pytest.raises(ValueError, match="epochs"):
             train(small_config(epochs=0), small_dataset())
@@ -278,6 +289,23 @@ class TestCheckpointing:
         assert [g for _, g in resumed.grad_norm_history] == \
                [g for _, g in straight.grad_norm_history[3:]]
 
+    def test_resume_of_sgd_run_matches_uninterrupted_run(self, tmp_path):
+        # d's settings leave lr to its default
+        def config(epochs):
+            return small_config(epochs=epochs, g_optimizer={"kind": "sgd", "lr": 0.05},
+                                d_optimizer={"kind": "sgd"})
+
+        ds = small_dataset()
+        straight = train(config(3), ds)
+        save_checkpoint(train(config(2), ds), tmp_path / "half.json")
+        resumed = load_checkpoint(tmp_path / "half.json")
+        assert isinstance(resumed.g_opt, optim.SGD) and resumed.g_opt.lr == 0.05
+        assert isinstance(resumed.d_opt, optim.SGD)
+        resumed.config.epochs = 3
+        resumed = resume(resumed, ds)
+        assert json.dumps(checkpoint_document(resumed), sort_keys=True) == \
+            json.dumps(checkpoint_document(straight), sort_keys=True)
+
     def test_resume_rejects_different_dataset(self):
         ds = small_dataset()
         state = train(small_config(epochs=1), ds)
@@ -323,6 +351,28 @@ class TestCheckpointing:
         doc = checkpoint_document(train(small_config(epochs=1), small_dataset()))
         mutate(doc)
         with pytest.raises(CheckpointError, match=f"'{field}'"):
+            state_from_document(doc)
+
+    @pytest.mark.parametrize("field, name, mutate", [
+        ("d_optimizer", "kind",
+         lambda doc: doc.update(d_optimizer={"kind": "sgd", "lr": 5.0})),
+        ("g_optimizer", "lr", lambda doc: doc["g_optimizer"].update(lr=0.5)),
+        ("g_optimizer", "beta2", lambda doc: doc["g_optimizer"].update(beta2=0.9)),
+        ("d_optimizer", "eps",
+         lambda doc: doc["d_optimizer"].update(eps=str(doc["d_optimizer"]["eps"]))),
+        ("generator", "init_seed",
+         lambda doc: doc["generator"].update(init_seed=doc["generator"]["init_seed"] + 1)),
+        ("discriminator", "init_seed",
+         lambda doc: doc["discriminator"].update(
+             init_seed=float(doc["discriminator"]["init_seed"]))),
+        ("generator", "spec",
+         lambda doc: doc["generator"]["spec"]["layers"][1].update(alpha=0.2)),
+    ], ids=["optimizer_kind", "lr", "beta2", "eps_as_text", "init_seed",
+            "init_seed_as_float", "default_alpha_on_tanh"])
+    def test_field_the_config_decides_must_match(self, field, name, mutate):
+        doc = checkpoint_document(train(small_config(epochs=1), small_dataset()))
+        mutate(doc)
+        with pytest.raises(CheckpointError, match=f"'{field}': {name}"):
             state_from_document(doc)
 
     @pytest.mark.parametrize("bad", [np.inf, -1.0])
