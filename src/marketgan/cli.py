@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -25,9 +26,9 @@ from . import stylized_facts as sf
 from . import training
 from .autodiff import NonFiniteError
 from .layers import PRESET_NAMES
-from .market_data import (DataError, atomic_write_text, load_return_series,
-                          normalize_and_window, open_input, returns_to_prices,
-                          write_returns_csv)
+from .market_data import (DataError, atomic_write_text, csv_chunks, index_value_chunks,
+                          iter_floats, load_return_series, normalize_and_window,
+                          open_input, returns_to_prices, write_returns_csv)
 from .stylized_facts import DegenerateSeriesError, FactThresholds
 from .training import (CheckpointError, TrainConfig, TrainingDivergedError,
                        load_checkpoint, save_checkpoint)
@@ -193,12 +194,10 @@ def _merged_train_config(args, state) -> tuple[TrainConfig, str, int]:
     return config, str(data), stride
 
 
-def _loss_csv_text(history) -> str:
-    lines = [LOSS_HEADER]
-    for rec in history:
-        lines.append(f"{rec.step},{rec.epoch},{rec.phase},"
-                     f"{_num(rec.d_loss)},{_num(rec.g_loss)},{_num(rec.gp_term)}")
-    return "\n".join(lines) + "\n"
+def _loss_csv_chunks(history):
+    return csv_chunks(LOSS_HEADER, (
+        f"{rec.step},{rec.epoch},{rec.phase},"
+        f"{_num(rec.d_loss)},{_num(rec.g_loss)},{_num(rec.gp_term)}" for rec in history))
 
 
 def cmd_train(args) -> int:
@@ -237,7 +236,7 @@ def cmd_train(args) -> int:
         raise CliError(EXIT_NUMERIC, f"non-finite value during training: {exc}") from exc
 
     losses_path = os.path.join(out, "losses.csv")
-    atomic_write_text(losses_path, _loss_csv_text(state.history))
+    atomic_write_text(losses_path, _loss_csv_chunks(state.history))
     manifest_config = state.config.to_flat()
     manifest_config["window_stride"] = stride
     manifest_path = _write_manifest(
@@ -289,11 +288,9 @@ def cmd_generate(args) -> int:
     artifacts = {"returns": os.path.basename(returns_path)}
 
     if args.prices:
-        prices = returns_to_prices(values, args.p0)
-        lines = ["index,price"]
-        lines.extend(f"{i},{_num(p)}" for i, p in enumerate(prices))
         prices_path = os.path.join(out, "generated_prices.csv")
-        atomic_write_text(prices_path, "\n".join(lines) + "\n")
+        atomic_write_text(prices_path, index_value_chunks(
+            "index,price", returns_to_prices(values, args.p0)))
         artifacts["prices"] = os.path.basename(prices_path)
 
     manifest_config = state.config.to_flat()
@@ -358,13 +355,11 @@ def _pdf_csv_text(cand: np.ndarray, ref: np.ndarray, bins: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _series_pair_csv_text(cand: np.ndarray, ref: np.ndarray) -> str:
-    lines = [SERIES_HEADER]
-    for i in range(max(len(cand), len(ref))):
-        c = _num(cand[i]) if i < len(cand) else ""
-        r = _num(ref[i]) if i < len(ref) else ""
-        lines.append(f"{i},{c},{r}")
-    return "\n".join(lines) + "\n"
+def _series_pair_csv_chunks(cand: np.ndarray, ref: np.ndarray):
+    """An empty cell is past the end of the shorter series."""
+    pairs = itertools.zip_longest(iter_floats(cand), iter_floats(ref))
+    return csv_chunks(SERIES_HEADER, (f"{i},{_num(c)},{_num(r)}"
+                                      for i, (c, r) in enumerate(pairs)))
 
 
 def cmd_evaluate(args) -> int:
@@ -407,10 +402,10 @@ def cmd_evaluate(args) -> int:
     atomic_write_text(report_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     atomic_write_text(os.path.join(out, "acf.csv"), acf_text)
     atomic_write_text(os.path.join(out, "pdf.csv"), _pdf_csv_text(cand, ref, args.bins))
-    atomic_write_text(os.path.join(out, "returns.csv"), _series_pair_csv_text(cand, ref))
+    atomic_write_text(os.path.join(out, "returns.csv"), _series_pair_csv_chunks(cand, ref))
     atomic_write_text(os.path.join(out, "prices.csv"),
-                      _series_pair_csv_text(returns_to_prices(cand, 1.0),
-                                            returns_to_prices(ref, 1.0)))
+                      _series_pair_csv_chunks(returns_to_prices(cand, 1.0),
+                                              returns_to_prices(ref, 1.0)))
     _write_manifest(
         out, "evaluate",
         {"max_lag": thresholds.linear_max_lag, "bins": args.bins,

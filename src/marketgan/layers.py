@@ -2,7 +2,8 @@
 
 Networks are described declaratively by a NetworkSpec (an ordered list of
 LayerSpecs plus the per-sample input shape) and instantiated by build(),
-which allocates and initializes parameter tensors. Keeping the description
+which allocates and initializes parameter tensors (a checkpoint load calls
+allocate() alone and reads the trained values in). Keeping the description
 separate from the parameters makes shape validation and checkpointing
 straightforward.
 """
@@ -378,13 +379,15 @@ class Network:
         return [self.params[f"{i}.{name}"] for name, _, _ in self.spec.layers[i].param_shapes()]
 
     # -- serialization ---------------------------------------------------
-    def state_dict(self) -> dict:
+    def state_dict(self, encode=_b64) -> dict:
+        """Spec, init seed, parameters and running statistics; ``encode``
+        maps each array to the "data" of its entry (base64 text by default)."""
         params = {}
         for name, p in self.parameters():
-            params[name] = {"shape": list(p.shape), "data": _b64(p.data)}
+            params[name] = {"shape": list(p.shape), "data": encode(p.data)}
         running = {}
         for idx, stats in self.running.items():
-            running[str(idx)] = {key: {"shape": list(arr.shape), "data": _b64(arr)}
+            running[str(idx)] = {key: {"shape": list(arr.shape), "data": encode(arr)}
                                  for key, arr in stats.items()}
         return {
             "spec": self.spec.to_dict(),
@@ -446,21 +449,34 @@ def attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     return ad.self_attention(x, wq, wk, wv, gamma_attn)
 
 
-def build(spec: NetworkSpec, init_seed: int) -> Network:
-    """Instantiate parameters for a validated spec, each as its layer's
-    param_shapes() says. Deterministic for a given seed."""
+def allocate(spec: NetworkSpec, init_seed: int) -> Network:
+    """A network for a validated spec with its parameters allocated but not
+    drawn: each starts at its constant fill, or at zero where build() would
+    draw it. A checkpoint load fills in the trained values."""
     validate(spec)
-    rng = np.random.default_rng(int(init_seed))
     params = {}
     running = {}
     for i, layer in enumerate(spec.layers):
         for name, shape, fill in layer.param_shapes():
-            data = rng.normal(0.0, INIT_STD, size=shape) if fill is None else np.full(shape, fill)
+            data = np.zeros(shape) if fill is None else np.full(shape, fill)
             params[f"{i}.{name}"] = Tensor(data, requires_grad=True)
         stats = layer.new_running()
         if stats is not None:
             running[i] = stats
     return Network(spec, params, running, int(init_seed))
+
+
+def build(spec: NetworkSpec, init_seed: int) -> Network:
+    """allocate(), then draw every parameter that has no constant fill from
+    Normal(0, INIT_STD), in layer and param_shapes() order. Deterministic for
+    a given seed."""
+    net = allocate(spec, init_seed)
+    rng = np.random.default_rng(int(init_seed))
+    for i, layer in enumerate(spec.layers):
+        for name, shape, fill in layer.param_shapes():
+            if fill is None:
+                net.params[f"{i}.{name}"].data = rng.normal(0.0, INIT_STD, size=shape)
+    return net
 
 
 class NoiseSource:

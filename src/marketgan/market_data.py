@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime
 import importlib.resources
+import itertools
 import os
 import tempfile
 from contextlib import contextmanager
@@ -27,23 +28,27 @@ class DataError(ValueError):
 def open_input(path):
     """Open an input file as UTF-8 text with line endings untranslated.
     Every input file is read inside this block, so a file that cannot be
-    read, or is not UTF-8, raises DataError."""
+    read, is not UTF-8, or holds a CSV field past the csv module's limit
+    raises DataError."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
             yield f
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
 
-def atomic_write_text(path, text: str):
-    """Write via a temp file in the same directory plus rename, so readers
-    never observe a half-written artifact."""
+def atomic_write_text(path, text):
+    """Write ``text``, a str or an iterable of str chunks written in order,
+    via a temp file in the same directory plus rename, so readers never
+    observe a half-written artifact. A chunked artifact is never held in
+    memory whole. If the write fails part-way the temp file is removed and
+    the file at ``path`` is left as it was."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -219,13 +224,37 @@ def returns_to_prices(r, p0: float) -> np.ndarray:
     return prices
 
 
+BLOCK_LINES = 4096
+
+
+def csv_chunks(header: str, lines):
+    """The text of a CSV as chunks for atomic_write_text: the header, then
+    ``lines`` BLOCK_LINES at a time, every line LF-terminated."""
+    yield header + "\n"
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, BLOCK_LINES)):
+        block.append("")
+        yield "\n".join(block)
+
+
+def iter_floats(values):
+    """The entries of a 1-D array as Python floats, converted a block at a
+    time."""
+    values = np.asarray(values, dtype=np.float64)
+    for start in range(0, len(values), BLOCK_LINES):
+        yield from values[start: start + BLOCK_LINES].tolist()
+
+
+def index_value_chunks(header: str, values):
+    """csv_chunks of an `index,value` CSV, each value as its shortest
+    round-tripping decimal text."""
+    return csv_chunks(header, (f"{i},{v!r}" for i, v in enumerate(iter_floats(values))))
+
+
 def write_returns_csv(path, values: np.ndarray):
     """Write an `index,log_return` CSV atomically, each value as its
     shortest round-tripping decimal text."""
-    lines = [",".join(RETURN_HEADER)]
-    lines.extend(f"{i},{float(v)!r}"
-                 for i, v in enumerate(np.asarray(values, dtype=np.float64)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, index_value_chunks(",".join(RETURN_HEADER), values))
 
 
 def read_returns_csv(path) -> ReturnSeries:

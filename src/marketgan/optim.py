@@ -46,7 +46,8 @@ class SGD:
         for _, p in named_params:
             p.data = p.data - self.lr * p.grad
 
-    def state_dict(self) -> dict:
+    def state_dict(self, encode=_b64) -> dict:
+        """SGD keeps no arrays, so ``encode`` (see Adam.state_dict) is not used."""
         return {"kind": "sgd", "lr": self.lr}
 
 
@@ -83,13 +84,15 @@ class Adam:
             v_hat = self.v[name] / b2c
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self) -> dict:
+    def state_dict(self, encode=_b64) -> dict:
+        """Settings, step count and moments; ``encode`` maps each moment
+        array to the "data" of its entry (base64 text by default)."""
         return {
             "kind": "adam",
             "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
             "eps": self.eps, "t": self.t,
-            "m": {k: {"shape": list(a.shape), "data": _b64(a)} for k, a in self.m.items()},
-            "v": {k: {"shape": list(a.shape), "data": _b64(a)} for k, a in self.v.items()},
+            "m": {k: {"shape": list(a.shape), "data": encode(a)} for k, a in self.m.items()},
+            "v": {k: {"shape": list(a.shape), "data": encode(a)} for k, a in self.v.items()},
         }
 
     def load_state_dict(self, state: dict):

@@ -1,13 +1,21 @@
 """Deterministic SVG rendering of the plot-data CSVs written by evaluate.
 
-Each renderer is a pure function of the parsed rows: identical input bytes
+Each renderer is a pure function of the CSV's bytes: identical input bytes
 produce identical output bytes. No timestamps, no randomness, and all
 coordinates are formatted with a fixed precision.
+
+Memory follows the arrays, not the text: a CSV is read in one pass straight
+into one float64 array per column (no list of rows), and each polyline is
+mapped, formatted and written a block of points at a time into the
+temp file that atomic_write_text renames at the end.
 """
 
+import array
 import csv
 import math
 import sys
+
+import numpy as np
 
 from .market_data import DataError, atomic_write_text, open_input
 
@@ -23,6 +31,8 @@ REFERENCE_COLOR = "#8a8a8a"
 BAND_COLOR = "#b03a3a"
 AXIS_COLOR = "#333333"
 
+POLYLINE_BLOCK = 4096     # points formatted per chunk of a polyline
+
 
 def _fmt(x: float) -> str:
     """Fixed-precision coordinate text, with negative zero normalized."""
@@ -35,46 +45,48 @@ def _tick_label(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _read_rows(path, expected_header):
+def _read_columns(path, expected_header, skip=()):
+    """The columns of a plot CSV as float64 arrays, read in one pass with no
+    list of rows. A cell of a column after the first whose stripped text is
+    in ``skip`` is NaN: that point is not drawn. Errors name the first
+    problem in this order: an empty file, a wrong header, no rows, a ragged
+    row, then the first cell that is not a finite number in the leftmost
+    column that has one. Rows count from 1 after the header."""
+    width = len(expected_header)
+    columns = [array.array("d") for _ in range(width)]
+    skips = [()] + [skip] * (width - 1)
+    bad = [None] * width        # (row, text) of each column's first bad cell
     with open_input(path) as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"plot data {path} is empty")
-    header = tuple(h.strip() for h in rows[0])
-    if header != tuple(expected_header):
-        raise DataError(
-            f"plot data {path} has header {header}, expected {tuple(expected_header)}")
-    if len(rows) < 2:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"plot data {path} is empty")
+        header = tuple(h.strip() for h in first)
+        if header != tuple(expected_header):
+            raise DataError(
+                f"plot data {path} has header {header}, expected {tuple(expected_header)}")
+        n = 0
+        for n, row in enumerate(reader, 1):
+            if len(row) != width:
+                raise DataError(f"plot data {path} row {n} has {len(row)} fields, "
+                                f"expected {width}")
+            for j, text in enumerate(row):
+                try:
+                    v = float(text)
+                except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    if text.strip() not in skips[j] and bad[j] is None:
+                        bad[j] = (n, text.strip())
+                    v = math.nan
+                columns[j].append(v)
+    if n == 0:
         raise DataError(f"plot data {path} has a header but no rows")
-    for n, row in enumerate(rows[1:], 1):
-        if len(row) != len(header):
-            raise DataError(f"plot data {path} row {n} has {len(row)} fields, "
-                            f"expected {len(header)}")
-    return rows[1:]
-
-
-def _column(path, rows, j, skip=()):
-    """Field ``j`` of every row as a float, or None where the cell's text is
-    in ``skip`` (such a point is not drawn). The column is parsed and
-    screened as a whole, and read again only to name the first row whose
-    cell is not a finite number."""
-    try:
-        values = [None if r[j].strip() in skip else float(r[j]) for r in rows]
-        if all(v is None or math.isfinite(v) for v in values):
-            return values
-    except ValueError:
-        pass
-    n, text = next((n, r[j].strip()) for n, r in enumerate(rows, 1)
-                   if not (r[j].strip() in skip or _is_finite(r[j])))
-    raise DataError(f"plot data {path} row {n} field {j + 1} is {text!r}, "
-                    f"not a finite number")
-
-
-def _is_finite(text: str) -> bool:
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
+    for j, found in enumerate(bad):
+        if found is not None:
+            raise DataError(f"plot data {path} row {found[0]} field {j + 1} is "
+                            f"{found[1]!r}, not a finite number")
+    return [np.frombuffer(c, dtype=np.float64) for c in columns]
 
 
 # Axis arithmetic takes differences of quarters (hi / 4 - lo / 4): for finite
@@ -146,10 +158,18 @@ def _frame(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label):
     return parts, sx, sy
 
 
-def _polyline(points, color, width="1.2"):
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-    return (f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"/>')
+def _polyline(sx, sy, xs, ys, color, width="1.2"):
+    """Chunks of a polyline through the points (sx(xs[i]), sy(ys[i])), the
+    points mapped and formatted POLYLINE_BLOCK at a time."""
+    yield '<polyline points="'
+    for start in range(0, len(xs), POLYLINE_BLOCK):
+        block = slice(start, start + POLYLINE_BLOCK)
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in
+                          zip(sx(xs[block]).tolist(), sy(ys[block]).tolist()))
+        # _fmt's negative zero rule: in fixed two-decimal text "-0.00" can
+        # only occur as a whole coordinate
+        yield (" " if start else "") + coords.replace("-0.00", "0.00")
+    yield f'" fill="none" stroke="{color}" stroke-width="{width}"/>'
 
 
 def _legend(parts, entries):
@@ -164,17 +184,29 @@ def _legend(parts, entries):
 
 
 def _finish(parts, svg_path):
+    """Write the parts, each a line of text or an iterable of chunks of one
+    (a polyline), as the SVG file."""
     parts.append("</svg>")
-    atomic_write_text(svg_path, "\n".join(parts) + "\n")
+
+    def chunks():
+        for part in parts:
+            if isinstance(part, str):
+                yield part
+            else:
+                yield from part
+            yield "\n"
+
+    atomic_write_text(svg_path, chunks())
 
 
 def render_acf(csv_path, svg_path):
     """Bar chart of candidate autocorrelations with the reference series and
     the white-noise confidence band drawn on top."""
-    rows = _read_rows(csv_path, ("lag", "candidate", "reference", "band"))
-    lags = [int(v) for v in _column(csv_path, rows, 0)]
-    cand, ref, bands = (_column(csv_path, rows, j) for j in (1, 2, 3))
-    band = bands[0]
+    lag_col, cand_col, ref_col, band_col = _read_columns(
+        csv_path, ("lag", "candidate", "reference", "band"))
+    lags = [int(v) for v in lag_col.tolist()]
+    cand, ref = cand_col.tolist(), ref_col.tolist()
+    band = float(band_col[0])
     peak = _in_range(max(max(abs(v) for v in cand + ref), band) * 1.15)
     peak = max(peak, 1e-6)
     parts, sx, sy = _frame(min(lags) - 0.5, max(lags) + 0.5, -peak, peak,
@@ -188,8 +220,7 @@ def render_acf(csv_path, svg_path):
         parts.append(f'<rect x="{_fmt(cx - half)}" y="{_fmt(top)}" '
                      f'width="{_fmt(2 * half)}" height="{_fmt(bot - top)}" '
                      f'fill="{CANDIDATE_COLOR}" fill-opacity="0.8"/>')
-    parts.append(_polyline([(sx(l), sy(v)) for l, v in zip(lags, ref)],
-                           REFERENCE_COLOR))
+    parts.append(_polyline(sx, sy, np.trunc(lag_col), ref_col, REFERENCE_COLOR))
     for level in (band, -band):
         py = sy(level)
         parts.append(f'<line x1="{MARGIN_LEFT}" y1="{_fmt(py)}" '
@@ -205,38 +236,35 @@ def render_acf(csv_path, svg_path):
 
 def render_pdf(csv_path, svg_path):
     """Overlaid empirical densities of candidate and reference returns."""
-    rows = _read_rows(csv_path, ("bin_center", "candidate_density", "reference_density"))
-    centers, cand, ref = (_column(csv_path, rows, j) for j in (0, 1, 2))
-    top = _in_range(max(max(cand), max(ref)) * 1.1)
+    centers, cand, ref = _read_columns(
+        csv_path, ("bin_center", "candidate_density", "reference_density"))
+    top = _in_range(max(max(cand.tolist()), max(ref.tolist())) * 1.1)
     top = max(top, 1e-6)
-    parts, sx, sy = _frame(min(centers), max(centers), 0.0, top,
+    parts, sx, sy = _frame(min(centers.tolist()), max(centers.tolist()), 0.0, top,
                            "return distribution", "log return", "density")
-    parts.append(_polyline([(sx(c), sy(v)) for c, v in zip(centers, ref)],
-                           REFERENCE_COLOR))
-    parts.append(_polyline([(sx(c), sy(v)) for c, v in zip(centers, cand)],
-                           CANDIDATE_COLOR))
+    parts.append(_polyline(sx, sy, centers, ref, REFERENCE_COLOR))
+    parts.append(_polyline(sx, sy, centers, cand, CANDIDATE_COLOR))
     _legend(parts, [("candidate", CANDIDATE_COLOR), ("reference", REFERENCE_COLOR)])
     _finish(parts, svg_path)
 
 
 def _render_series_pair(csv_path, svg_path, header, title, y_label, skip):
-    rows = _read_rows(csv_path, header)
-    idx = [int(v) for v in _column(csv_path, rows, 0)]
-    cand, ref = ([(i, v) for i, v in zip(idx, _column(csv_path, rows, j, skip))
-                  if v is not None] for j in (1, 2))
-    values = [v for _, v in cand] + [v for _, v in ref]
+    index, cand, ref = _read_columns(csv_path, header, skip)
+    index = np.trunc(index)     # an index cell is read as int(float(text))
+    drawn = [(index[~np.isnan(v)], v[~np.isnan(v)]) for v in (cand, ref)]
+    values = [v for _, v in drawn if v.size]
     if not values:
         raise DataError(f"plot data {csv_path} has no numeric values")
-    lo, hi = min(values), max(values)
+    lo = float(min(v.min() for v in values))
+    hi = float(max(v.max() for v in values))
     pad = (hi - lo) * 0.05 or max(abs(hi), 1e-6) * 0.05
-    parts, sx, sy = _frame(min(idx), max(idx), _in_range(lo - pad), _in_range(hi + pad),
-                           title, "index", y_label)
-    if ref:
-        parts.append(_polyline([(sx(i), sy(v)) for i, v in ref],
-                               REFERENCE_COLOR, width="0.8"))
-    if cand:
-        parts.append(_polyline([(sx(i), sy(v)) for i, v in cand],
-                               CANDIDATE_COLOR, width="0.8"))
+    parts, sx, sy = _frame(int(index.min()), int(index.max()),
+                           _in_range(lo - pad), _in_range(hi + pad), title, "index", y_label)
+    (cand_x, cand_y), (ref_x, ref_y) = drawn
+    if ref_y.size:
+        parts.append(_polyline(sx, sy, ref_x, ref_y, REFERENCE_COLOR, width="0.8"))
+    if cand_y.size:
+        parts.append(_polyline(sx, sy, cand_x, cand_y, CANDIDATE_COLOR, width="0.8"))
     _legend(parts, [("candidate", CANDIDATE_COLOR), ("reference", REFERENCE_COLOR)])
     _finish(parts, svg_path)
 

@@ -18,6 +18,7 @@ state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -224,12 +225,15 @@ class TrainState:
         self.grad_norm_history: list = []   # (step, mean interpolate grad norm)
 
 
-def _fresh_state(config: TrainConfig, data_scale: float, n_windows: int) -> TrainState:
+def _fresh_state(config: TrainConfig, data_scale: float, n_windows: int,
+                 make_network=ly.build) -> TrainState:
+    """The state a run of ``config`` starts from; a checkpoint load passes
+    ly.allocate, which skips the initial draw that the load overwrites."""
     ss = np.random.SeedSequence(config.seed)
     g_init, d_init, noise_seed, shuffle_seed, gp_seed, diag_seed = ss.spawn(6)
     g_spec, d_spec = ly.preset(config.gan_variant, config.seq_len, config.latent_dim)
-    g_net = ly.build(g_spec, g_init.generate_state(1)[0])
-    d_net = ly.build(d_spec, d_init.generate_state(1)[0])
+    g_net = make_network(g_spec, g_init.generate_state(1)[0])
+    d_net = make_network(d_spec, d_init.generate_state(1)[0])
     noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, noise_seed)
     return TrainState(
         config, g_net, d_net,
@@ -453,7 +457,9 @@ def _mean_pairwise_distance(x: np.ndarray) -> float:
 # checkpointing
 # ----------------------------------------------------------------------
 
-def checkpoint_document(state: TrainState) -> dict:
+def checkpoint_document(state: TrainState, encode=ly._b64) -> dict:
+    """The checkpoint as a JSON-ready dict; ``encode`` maps each array to
+    the "data" of its entry (base64 text by default)."""
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -462,10 +468,10 @@ def checkpoint_document(state: TrainState) -> dict:
         "step": state.step,
         "data_scale": state.data_scale,
         "n_windows": state.n_windows,
-        "generator": state.g_net.state_dict(),
-        "discriminator": state.d_net.state_dict(),
-        "g_optimizer": state.g_opt.state_dict(),
-        "d_optimizer": state.d_opt.state_dict(),
+        "generator": state.g_net.state_dict(encode),
+        "discriminator": state.d_net.state_dict(encode),
+        "g_optimizer": state.g_opt.state_dict(encode),
+        "d_optimizer": state.d_opt.state_dict(encode),
         "rng": {
             "noise": state.noise.rng.bit_generator.state,
             "shuffle": state.shuffle_rng.bit_generator.state,
@@ -580,7 +586,8 @@ def state_from_document(doc: dict) -> TrainState:
     if not (math.isfinite(data_scale) and data_scale > 0):
         raise CheckpointError(f"checkpoint field 'data_scale' must be positive "
                               f"and finite, got {data_scale!r}")
-    state = _fresh_state(config, data_scale, _count("n_windows", doc.get("n_windows")))
+    state = _fresh_state(config, data_scale, _count("n_windows", doc.get("n_windows")),
+                         ly.allocate)
     for key, net in (("generator", state.g_net), ("discriminator", state.d_net)):
         _check_decided(doc, key, "init_seed", net.init_seed)
         _load_network(key, net, doc[key])
@@ -602,10 +609,26 @@ def state_from_document(doc: dict) -> TrainState:
     return state
 
 
+class _CheckpointEncoder(json.JSONEncoder):
+    """Canonical checkpoint JSON that writes an array left in the document
+    as its base64 text when the encoder reaches it."""
+
+    def default(self, o):
+        if isinstance(o, np.ndarray):
+            return ly._b64(o)
+        return super().default(o)
+
+
 def save_checkpoint(state: TrainState, path):
-    doc = checkpoint_document(state)
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=None,
-                                       separators=(",", ":")) + "\n")
+    """Write the checkpoint as it is encoded: the document keeps its arrays,
+    so the save holds the text of one array at a time, never the whole
+    document's. The bytes are those of json.dumps(checkpoint_document(state),
+    sort_keys=True, separators=(",", ":")) plus a newline."""
+    # np.asarray keeps every array, a 0-d one included, an ndarray (an
+    # np.float64 would be written as a JSON number)
+    doc = checkpoint_document(state, encode=np.asarray)
+    chunks = _CheckpointEncoder(sort_keys=True, separators=(",", ":")).iterencode(doc)
+    atomic_write_text(path, itertools.chain(chunks, ["\n"]))
 
 
 def load_checkpoint(path) -> TrainState:

@@ -6,6 +6,7 @@ and the artifact layout are tested exactly as a shell user sees them.
 
 import base64
 import datetime
+import errno
 import hashlib
 import json
 import math
@@ -549,6 +550,99 @@ class TestReportCommand:
         assert main(["report", "--out", str(evaluated)]) == 3
         err = capsys.readouterr().err
         assert name in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,edits,message", [
+        # a ragged row anywhere beats a bad cell on an earlier row
+        ("returns.csv", [(3, lambda f: [f[0], "nan", f[2]]), (6, lambda f: f[:2])],
+         "row 6 has 2 fields, expected 3"),
+        ("acf.csv", [(1, lambda f: [f[0], "inf"] + f[2:]), (4, lambda f: f + ["1"])],
+         "row 4 has 5 fields, expected 4"),
+        # then the first column with a bad cell, at its first bad row
+        ("returns.csv", [(2, lambda f: [f[0], f[1], "inf"]),
+                         (5, lambda f: [f[0], "nan", f[2]])],
+         "row 5 field 2 is 'nan'"),
+        ("pdf.csv", [(2, lambda f: [f[0], f[1], "x"]), (7, lambda f: [f[0], "-inf", f[2]]),
+                     (9, lambda f: ["", f[1], f[2]])],
+         "row 9 field 1 is ''"),
+        ("prices.csv", [(3, lambda f: [f[0], f[1], "1e999"]),
+                        (8, lambda f: [f[0], f[1], "nan"])],
+         "row 3 field 3 is '1e999'"),
+    ], ids=["ragged-beats-earlier-nan", "acf-ragged-beats-earlier-inf",
+            "column-2-beats-earlier-column-3", "column-1-beats-earlier-columns",
+            "first-bad-row-of-a-column"])
+    def test_error_order_of_malformed_plot_data(self, evaluated, capsys, name, edits,
+                                                message):
+        for row, edit in edits:
+            self.replace_row(evaluated / name, row, edit)
+        capsys.readouterr()
+        assert main(["report", "--out", str(evaluated)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "is empty"),
+        ("index,candidate,reference\n", "has a header but no rows"),
+        ("index,candidate,reference\r\n", "has a header but no rows"),
+        ("index,candidate\n0,1.0\n", "has header ('index', 'candidate'), expected "
+                                     "('index', 'candidate', 'reference')"),
+        ("index,candidate,reference\n0,,\n1,,\n", "has no numeric values"),
+    ], ids=["empty", "header-only", "header-only-crlf", "wrong-header", "all-skipped"])
+    def test_messages_of_plot_data_without_rows(self, evaluated, capsys, text, message):
+        path = evaluated / "returns.csv"
+        path.write_bytes(text.encode())
+        capsys.readouterr()
+        assert main(["report", "--out", str(evaluated)]) == 3
+        err = capsys.readouterr().err
+        assert f"plot data {path} {message}" in err and "Traceback" not in err
+
+    def test_exit_3_on_field_past_the_csv_limit(self, evaluated, capsys):
+        self.replace_row(evaluated / "returns.csv", 2, lambda f: [f[0], "1" * 200_000, f[2]])
+        capsys.readouterr()
+        assert main(["report", "--out", str(evaluated)]) == 3
+        err = capsys.readouterr().err
+        assert "field larger than field limit" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("earlier_report", [False, True], ids=["fresh", "rerun"])
+    def test_exit_3_when_the_disk_fills_while_writing(self, evaluated, monkeypatch, capsys,
+                                                      earlier_report):
+        svgs = ("acf.svg", "pdf.svg", "returns.svg", "prices.svg")
+        if earlier_report:
+            assert main(["report", "--out", str(evaluated)]) == 0
+        before = {n: (evaluated / n).read_bytes() for n in svgs if (evaluated / n).exists()}
+        fdopen = os.fdopen
+
+        class FullDisk:
+            """A text file with room for 1000 characters; the next write
+            fails as a full disk does."""
+
+            def __init__(self, *args, **kwargs):
+                self.file = fdopen(*args, **kwargs)
+                self.room = 1000
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                if len(text) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(text)
+                self.file.write(text)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+        monkeypatch.setattr(os, "fdopen", FullDisk)
+        capsys.readouterr()
+        assert main(["report", "--out", str(evaluated)]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        # no partial SVG: an earlier report's files are untouched, no temp file is left
+        after = {n: (evaluated / n).read_bytes() for n in svgs if (evaluated / n).exists()}
+        assert after == before
+        assert not [n for n in os.listdir(evaluated) if n.startswith(".tmp-")]
 
     def test_overflowed_prices_are_not_drawn(self, evaluated):
         # evaluate writes a price past the float64 range as inf

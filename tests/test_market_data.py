@@ -13,8 +13,10 @@ from marketgan.market_data import (
     DataError,
     PriceSeries,
     ReturnSeries,
+    BLOCK_LINES,
     WindowedDataset,
     atomic_write_text,
+    csv_chunks,
     fixture_path,
     ingest_csv,
     load_return_series,
@@ -96,6 +98,12 @@ class TestIngestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             ingest_csv(tmp_path / "absent.csv")
+
+    def test_field_past_the_csv_limit(self, tmp_path):
+        # the csv module refuses a field over 128 KiB with csv.Error
+        path = make_csv(tmp_path, GOOD_CSV + "2020-01-07," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match="cannot read .*field larger than field limit"):
+            ingest_csv(path)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty file"):
@@ -389,6 +397,31 @@ class TestAtomicWriteText:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             atomic_write_text(tmp_path / "nodir" / "out.txt", "x")
+
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, (part for part in ["a,b\n", "", "1,2", "\n"]))
+        assert path.read_bytes() == b"a,b\n1,2\n"
+
+    def test_chunks_that_fail_part_way_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "old\n")
+
+        def chunks():
+            yield "new " * 100_000     # past any write buffer: the temp file has data
+            raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError, match="generator failed"):
+            atomic_write_text(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]      # no .tmp-*~ left behind
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES + 3])
+    def test_csv_chunks_are_the_joined_lines(self, n):
+        lines = [f"{i},{i * 0.5!r}" for i in range(n)]
+        chunks = list(csv_chunks("i,v", iter(lines)))
+        assert "".join(chunks) == "\n".join(["i,v"] + lines) + "\n"
+        assert len(chunks) == 1 + -(-n // BLOCK_LINES)
 
 
 class TestProperties:

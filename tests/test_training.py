@@ -6,10 +6,13 @@ semantics), not sample quality.
 """
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from marketgan import layers as ly
 from marketgan import optim, training
 from marketgan.market_data import DataError, WindowedDataset, normalize_and_window
 from marketgan.training import (
@@ -257,6 +260,50 @@ class TestCheckpointing:
         assert a == (tmp_path / "b.json").read_bytes()
         assert a.endswith(b"\n")
         json.loads(a)
+
+    @pytest.mark.parametrize("variant", ["mlp_gan", "sagan1d"])
+    def test_saved_file_is_the_canonical_text_of_the_document(self, tmp_path, variant):
+        # sagan1d's attention gate is a 0-d parameter, which an update turns
+        # into an np.float64: it must still be stored as base64 text
+        state = train(small_config(gan_variant=variant, seq_len=32, batch_size=4,
+                                   epochs=1), small_dataset(seq_len=32, n_values=80))
+        save_checkpoint(state, tmp_path / "ckpt.json")
+        assert (tmp_path / "ckpt.json").read_text(encoding="utf-8") == json.dumps(
+            checkpoint_document(state), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_save_peak_memory_stays_below_half_the_file(self, tmp_path):
+        # building the whole document, its text and its bytes peaked at about
+        # 3x the file; streamed, the save holds one array's text at a time
+        state = train(small_config(epochs=1, latent_dim=16), small_dataset())
+        path = tmp_path / "ckpt.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(state, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(path)
+        assert peak < 0.5 * size, f"peak {peak} B for a {size} B checkpoint"
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        state = train(small_config(epochs=1), small_dataset())
+        save_checkpoint(state, tmp_path / "ckpt.json")
+        draws = []
+
+        class CountingGenerator(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return super().normal(*args, **kwargs)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: CountingGenerator(default_rng(seed).bit_generator))
+        loaded = load_checkpoint(tmp_path / "ckpt.json")
+        assert draws == []
+        assert params_blob(loaded.g_net) == params_blob(state.g_net)
+        assert params_blob(loaded.d_net) == params_blob(state.d_net)
+        ly.build(loaded.g_net.spec, 0)      # the spy does see build's draws
+        assert draws
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         ds = small_dataset()
