@@ -263,14 +263,14 @@ def cmd_generate(args) -> int:
         raise CliError(EXIT_CONFIG, f"--p0 must be positive, got {args.p0}")
     if args.prices and args.p0 is None:
         raise CliError(EXIT_CONFIG, "--prices needs --p0 <initial price>")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise CliError(EXIT_CONFIG, f"--seed must be >= 0, got {seed}")
     try:
         state = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:
         raise CliError(EXIT_DATA, f"bad checkpoint: {exc}") from exc
     out = _ensure_out_dir(args.out)
-    seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise CliError(EXIT_CONFIG, f"--seed must be >= 0, got {seed}")
 
     seq_len = state.config.seq_len
     n_windows = -(-args.n // seq_len)
@@ -327,20 +327,18 @@ def _first_non_finite(doc: dict, prefix: str = ""):
     return None
 
 
-def _acf_csv_text(cand: np.ndarray, ref: np.ndarray, max_lag: int) -> str:
+def _acf_csv_chunks(cand: np.ndarray, ref: np.ndarray, max_lag: int):
     rho_c = sf.acf(cand, max_lag)
     rho_r = sf.acf(ref, max_lag)
     if not np.isfinite(rho_r).all():
         raise CliError(EXIT_NUMERIC, "the reference autocorrelation in acf.csv is not "
                                      "finite: the values are too large for float64")
-    band = sf.confidence_band(len(cand))
-    lines = [ACF_HEADER]
-    for lag in range(1, max_lag + 1):
-        lines.append(f"{lag},{_num(rho_c[lag - 1])},{_num(rho_r[lag - 1])},{_num(band)}")
-    return "\n".join(lines) + "\n"
+    band = _num(sf.confidence_band(len(cand)))
+    return csv_chunks(ACF_HEADER, (f"{lag},{_num(c)},{_num(r)},{band}"
+                                   for lag, c, r in zip(range(1, max_lag + 1), rho_c, rho_r)))
 
 
-def _pdf_csv_text(cand: np.ndarray, ref: np.ndarray, bins: int) -> str:
+def _pdf_csv_chunks(cand: np.ndarray, ref: np.ndarray, bins: int):
     lo = min(cand.min(), ref.min())
     hi = max(cand.max(), ref.max())
     if hi <= lo:
@@ -349,10 +347,8 @@ def _pdf_csv_text(cand: np.ndarray, ref: np.ndarray, bins: int) -> str:
     cand_density, _ = np.histogram(cand, bins=edges, density=True)
     ref_density, _ = np.histogram(ref, bins=edges, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    lines = [PDF_HEADER]
-    for c, dc, dr in zip(centers, cand_density, ref_density):
-        lines.append(f"{_num(c)},{_num(dc)},{_num(dr)}")
-    return "\n".join(lines) + "\n"
+    return csv_chunks(PDF_HEADER, (f"{_num(c)},{_num(dc)},{_num(dr)}"
+                                   for c, dc, dr in zip(centers, cand_density, ref_density)))
 
 
 def _series_pair_csv_chunks(cand: np.ndarray, ref: np.ndarray):
@@ -364,9 +360,6 @@ def _series_pair_csv_chunks(cand: np.ndarray, ref: np.ndarray):
 
 def cmd_evaluate(args) -> int:
     started = _utc_now()
-    cand = _load_series(args.candidate, "candidate")
-    ref = _load_series(args.reference, "reference")
-    out = _ensure_out_dir(args.out)
     thresholds = FactThresholds()
     if args.max_lag is not None:
         if args.max_lag < 1:
@@ -378,6 +371,9 @@ def cmd_evaluate(args) -> int:
                                         args.max_lag))
     if args.bins < 2:
         raise CliError(EXIT_CONFIG, f"--bins must be >= 2, got {args.bins}")
+    cand = _load_series(args.candidate, "candidate")
+    ref = _load_series(args.reference, "reference")
+    out = _ensure_out_dir(args.out)
     # values whose squares overflow make inf or nan on the way; every
     # statistic written below is refused unless finite, so numpy's warnings
     # would add nothing
@@ -389,7 +385,7 @@ def cmd_evaluate(args) -> int:
         except sf.InsufficientDataError as exc:
             raise CliError(EXIT_DATA, f"not enough data: {exc}") from exc
         try:
-            acf_text = _acf_csv_text(cand, ref, thresholds.linear_max_lag)
+            acf_chunks = _acf_csv_chunks(cand, ref, thresholds.linear_max_lag)
         except sf.InsufficientDataError as exc:
             raise CliError(EXIT_DATA, f"not enough data for the ACF table: {exc}") from exc
 
@@ -400,8 +396,8 @@ def cmd_evaluate(args) -> int:
                                      f"large for float64")
     report_path = os.path.join(out, "report.json")
     atomic_write_text(report_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
-    atomic_write_text(os.path.join(out, "acf.csv"), acf_text)
-    atomic_write_text(os.path.join(out, "pdf.csv"), _pdf_csv_text(cand, ref, args.bins))
+    atomic_write_text(os.path.join(out, "acf.csv"), acf_chunks)
+    atomic_write_text(os.path.join(out, "pdf.csv"), _pdf_csv_chunks(cand, ref, args.bins))
     atomic_write_text(os.path.join(out, "returns.csv"), _series_pair_csv_chunks(cand, ref))
     atomic_write_text(os.path.join(out, "prices.csv"),
                       _series_pair_csv_chunks(returns_to_prices(cand, 1.0),

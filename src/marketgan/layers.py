@@ -8,7 +8,6 @@ separate from the parameters makes shape validation and checkpointing
 straightforward.
 """
 
-import base64
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -312,15 +311,6 @@ def validate(spec: NetworkSpec) -> tuple:
     return shapes[-1]
 
 
-def _b64(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _unb64(s: str, shape) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(s), dtype="<f8").copy()
-    return arr.reshape(tuple(shape))
-
-
 class Network:
     """A NetworkSpec with instantiated parameters and running statistics."""
 
@@ -377,50 +367,6 @@ class Network:
 
     def _layer_params(self, i: int) -> list:
         return [self.params[f"{i}.{name}"] for name, _, _ in self.spec.layers[i].param_shapes()]
-
-    # -- serialization ---------------------------------------------------
-    def state_dict(self, encode=_b64) -> dict:
-        """Spec, init seed, parameters and running statistics; ``encode``
-        maps each array to the "data" of its entry (base64 text by default)."""
-        params = {}
-        for name, p in self.parameters():
-            params[name] = {"shape": list(p.shape), "data": encode(p.data)}
-        running = {}
-        for idx, stats in self.running.items():
-            running[str(idx)] = {key: {"shape": list(arr.shape), "data": encode(arr)}
-                                 for key, arr in stats.items()}
-        return {
-            "spec": self.spec.to_dict(),
-            "init_seed": int(self.init_seed),
-            "params": params,
-            "running": running,
-        }
-
-    def load_state_dict(self, state: dict):
-        """Load the trained values of a state_dict(), its parameters and
-        running statistics, into this network in place; the stored spec and
-        init seed are not read. Names and shapes must be this network's."""
-        if set(state["params"]) != set(self.params):
-            raise BuildError(f"checkpoint parameters {sorted(state['params'])} do not "
-                             f"match the spec's {sorted(self.params)}")
-        if set(state["running"]) != {str(i) for i in self.running}:
-            raise BuildError(f"checkpoint running statistics for layers "
-                             f"{sorted(state['running'])} do not match the spec's "
-                             f"batch-norm layers {sorted(self.running)}")
-        for name, entry in state["params"].items():
-            arr = _unb64(entry["data"], entry["shape"])
-            if arr.shape != self.params[name].shape:
-                raise BuildError(f"checkpoint parameter {name!r} has shape "
-                                 f"{arr.shape}, spec wants {self.params[name].shape}")
-            self.params[name].data = arr
-        for idx_str, stats in state["running"].items():
-            running = self.running[int(idx_str)]
-            for key in running:
-                arr = _unb64(stats[key]["data"], stats[key]["shape"])
-                if arr.shape != running[key].shape:
-                    raise BuildError(f"checkpoint running {key} of layer {idx_str} has "
-                                     f"shape {arr.shape}, spec wants {running[key].shape}")
-                running[key] = arr
 
 
 def _batch_norm_folds(layers: list) -> dict:

@@ -8,6 +8,7 @@ scale is part of the dataset (and of every checkpoint).
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime
 import importlib.resources
@@ -139,7 +140,7 @@ def ingest_csv(path) -> PriceSeries:
 
     Row numbers in error messages count the header as row 1.
     """
-    dates, prices = [], []
+    dates, prices = [], array.array("d")
     with open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -173,7 +174,7 @@ def ingest_csv(path) -> PriceSeries:
             prices.append(price)
     if not dates:
         raise DataError(f"{path}: no data rows")
-    return PriceSeries(dates, np.array(prices))
+    return PriceSeries(dates, np.frombuffer(prices))
 
 
 def to_log_returns(p) -> ReturnSeries:
@@ -258,8 +259,10 @@ def write_returns_csv(path, values: np.ndarray):
 
 
 def read_returns_csv(path) -> ReturnSeries:
-    """Read an `index,log_return` CSV (the generate command's output)."""
-    values = []
+    """Read an `index,log_return` CSV (the generate command's output). The
+    values fill a float64 array.array, which the returned array wraps, so
+    the read holds no Python float per row."""
+    values = array.array("d")
     with open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -279,7 +282,7 @@ def read_returns_csv(path) -> ReturnSeries:
                 raise DataError(f"row {row_no}: invalid return {row[1]!r}") from e
     if not values:
         raise DataError(f"{path}: no data rows")
-    return ReturnSeries(np.array(values))
+    return ReturnSeries(np.frombuffer(values))
 
 
 def load_return_series(path) -> ReturnSeries:

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .layers import _b64, _unb64
 
 
 class GradientError(RuntimeError):
@@ -46,8 +45,8 @@ class SGD:
         for _, p in named_params:
             p.data = p.data - self.lr * p.grad
 
-    def state_dict(self, encode=_b64) -> dict:
-        """SGD keeps no arrays, so ``encode`` (see Adam.state_dict) is not used."""
+    def settings(self) -> dict:
+        """The make_optimizer settings this optimizer was built from."""
         return {"kind": "sgd", "lr": self.lr}
 
 
@@ -84,23 +83,10 @@ class Adam:
             v_hat = self.v[name] / b2c
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self, encode=_b64) -> dict:
-        """Settings, step count and moments; ``encode`` maps each moment
-        array to the "data" of its entry (base64 text by default)."""
-        return {
-            "kind": "adam",
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-            "eps": self.eps, "t": self.t,
-            "m": {k: {"shape": list(a.shape), "data": encode(a)} for k, a in self.m.items()},
-            "v": {k: {"shape": list(a.shape), "data": encode(a)} for k, a in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict):
-        """Load the step count and moments of a state_dict(); the settings
-        stay the ones this optimizer was built with."""
-        self.t = int(state["t"])
-        self.m = {k: _unb64(e["data"], e["shape"]) for k, e in state["m"].items()}
-        self.v = {k: _unb64(e["data"], e["shape"]) for k, e in state["v"].items()}
+    def settings(self) -> dict:
+        """The make_optimizer settings this optimizer was built from."""
+        return {"kind": "adam", "lr": self.lr, "beta1": self.beta1,
+                "beta2": self.beta2, "eps": self.eps}
 
 
 def make_optimizer(settings: dict):

@@ -18,6 +18,7 @@ state.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -457,9 +458,32 @@ def _mean_pairwise_distance(x: np.ndarray) -> float:
 # checkpointing
 # ----------------------------------------------------------------------
 
-def checkpoint_document(state: TrainState, encode=ly._b64) -> dict:
-    """The checkpoint as a JSON-ready dict; ``encode`` maps each array to
-    the "data" of its entry (base64 text by default)."""
+def _stored(arrays: dict) -> dict:
+    """A {name: {"shape", "data"}} group whose data stay arrays, np.asarray
+    keeping a 0-d one an ndarray; _CheckpointEncoder writes each as base64."""
+    return {name: {"shape": list(np.shape(a)), "data": np.asarray(a)}
+            for name, a in arrays.items()}
+
+
+def _network_section(net: ly.Network) -> dict:
+    return {
+        "spec": net.spec.to_dict(),
+        "init_seed": int(net.init_seed),
+        "params": _stored({name: p.data for name, p in net.params.items()}),
+        "running": {str(idx): _stored(stats) for idx, stats in net.running.items()},
+    }
+
+
+def _optimizer_section(opt) -> dict:
+    section = opt.settings()
+    if isinstance(opt, optim.Adam):
+        section.update(t=opt.t, m=_stored(opt.m), v=_stored(opt.v))
+    return section
+
+
+def checkpoint_document(state: TrainState) -> dict:
+    """The checkpoint as a dict whose arrays are left as arrays: the stored
+    file is its canonical JSON under _CheckpointEncoder (see save_checkpoint)."""
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -468,10 +492,10 @@ def checkpoint_document(state: TrainState, encode=ly._b64) -> dict:
         "step": state.step,
         "data_scale": state.data_scale,
         "n_windows": state.n_windows,
-        "generator": state.g_net.state_dict(encode),
-        "discriminator": state.d_net.state_dict(encode),
-        "g_optimizer": state.g_opt.state_dict(encode),
-        "d_optimizer": state.d_opt.state_dict(encode),
+        "generator": _network_section(state.g_net),
+        "discriminator": _network_section(state.d_net),
+        "g_optimizer": _optimizer_section(state.g_opt),
+        "d_optimizer": _optimizer_section(state.d_opt),
         "rng": {
             "noise": state.noise.rng.bit_generator.state,
             "shuffle": state.shuffle_rng.bit_generator.state,
@@ -493,49 +517,70 @@ def _reading(key: str):
         raise CheckpointError(f"checkpoint field {key!r} is malformed: {e!r}") from e
 
 
-def _check_arrays(key: str, arrays: dict, non_negative: bool = False):
-    for name, arr in arrays.items():
+def _exact_names(key: str, stored: dict, expected, label: str):
+    """The names of a stored group must be exactly ``expected``; ``label``
+    formats a name for the message."""
+    with _reading(key):
+        odd = sorted(stored.keys() ^ set(expected))
+    if odd:
+        raise CheckpointError(f"checkpoint field {key!r}: {label.format(odd[0])} is "
+                              + ("missing" if odd[0] in expected else "not expected"))
+
+
+def _read_arrays(key: str, stored: dict, shapes: dict, label: str,
+                 non_negative=()) -> dict:
+    """Decode a stored {name: {"shape", "data"}} group into {name: array}.
+    It must hold exactly the names of ``shapes``, each with its shape and
+    finite, and those in ``non_negative`` without negative entries; a
+    failure raises CheckpointError naming ``key`` and the entry, whose name
+    ``label`` formats (e.g. "Adam v[{!r}]")."""
+    _exact_names(key, stored, shapes, label)
+    arrays = {}
+    for name, shape in shapes.items():
+        with _reading(key):
+            entry = stored[name]
+            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+            arr = arr.reshape(tuple(entry["shape"]))
+        what = f"checkpoint field {key!r}: {label.format(name)}"
+        if arr.shape != shape:
+            raise CheckpointError(f"{what} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"checkpoint field {key!r}: {name} is not finite")
-        if non_negative and (arr < 0).any():
-            raise CheckpointError(f"checkpoint field {key!r}: {name} has negative entries")
+            raise CheckpointError(f"{what} is not finite")
+        if name in non_negative and (arr < 0).any():
+            raise CheckpointError(f"{what} has negative entries")
+        arrays[name] = arr.copy()
+    return arrays
 
 
-def _load_network(key: str, net: ly.Network, stored: dict):
+def _read_network(key: str, net: ly.Network, stored: dict):
+    """Read the parameters and running statistics of a stored network
+    section into ``net``."""
     with _reading(key):
-        net.load_state_dict(stored)
-    _check_arrays(key, {name: p.data for name, p in net.params.items()})
+        params, running = stored["params"], stored["running"]
+    shapes = {name: p.shape for name, p in net.params.items()}
+    for name, arr in _read_arrays(key, params, shapes, "parameter {!r}").items():
+        net.params[name].data = arr
+    _exact_names(key, running, [str(idx) for idx in net.running],
+                 "running statistics group of layer {}")
     for idx, stats in net.running.items():
-        _check_arrays(key, {f"running mean of layer {idx}": stats["mean"]})
-        _check_arrays(key, {f"running var of layer {idx}": stats["var"]},
-                      non_negative=True)
+        stats.update(_read_arrays(key, running[str(idx)],
+                                  {name: a.shape for name, a in stats.items()},
+                                  f"running {{}} of layer {idx}", non_negative={"var"}))
 
 
-def _load_optimizer(key: str, opt, stored: dict, net: ly.Network):
-    """Load Adam's step count and moments (SGD keeps none). They must
-    continue the run exactly: no moments before the first step, afterwards
-    one finite entry per parameter with its shape (and a non-negative
-    second moment)."""
-    if not isinstance(opt, optim.Adam):
-        return
+def _read_adam(key: str, opt: optim.Adam, stored: dict, net: ly.Network):
+    """Read Adam's step count and moments. They must continue the run
+    exactly: no moments before the first step, afterwards one entry per
+    parameter with its shape (and a non-negative second moment)."""
     with _reading(key):
-        _whole_number("t", stored["t"])     # load_state_dict's int() would truncate
-        opt.load_state_dict(stored)
-    if opt.t < 0:
-        raise CheckpointError(f"checkpoint field {key!r}: step count {opt.t} is negative")
-    expected = set(net.params) if opt.t > 0 else set()
-    for part, moments in (("m", opt.m), ("v", opt.v)):
-        if set(moments) != expected:
-            raise CheckpointError(
-                f"checkpoint field {key!r}: Adam {part} at step {opt.t} has entries "
-                f"{sorted(moments)}, expected {sorted(expected)}")
-        for name, arr in moments.items():
-            if arr.shape != net.params[name].shape:
-                raise CheckpointError(
-                    f"checkpoint field {key!r}: Adam {part}[{name!r}] has shape "
-                    f"{arr.shape}, the parameter has {net.params[name].shape}")
-        _check_arrays(key, {f"Adam {part}[{name!r}]": arr for name, arr in moments.items()},
-                      non_negative=part == "v")
+        t = _whole_number("t", stored["t"])     # int() would truncate
+        m, v = stored["m"], stored["v"]
+    if t < 0:
+        raise CheckpointError(f"checkpoint field {key!r}: step count {t} is negative")
+    shapes = {name: p.shape for name, p in net.params.items()} if t > 0 else {}
+    opt.t = t
+    opt.m = _read_arrays(key, m, shapes, f"Adam m[{{!r}}] at step {t}")
+    opt.v = _read_arrays(key, v, shapes, f"Adam v[{{!r}}] at step {t}", non_negative=set(shapes))
 
 
 def _check_decided(doc: dict, key: str, name: str, fresh, message: str = ""):
@@ -559,7 +604,8 @@ def _count(key: str, value) -> int:
 
 
 def state_from_document(doc: dict) -> TrainState:
-    """Load a checkpoint document into the fresh state its config builds.
+    """Load a stored checkpoint document, the parsed JSON of a saved file
+    (each array as its base64 text), into the fresh state its config builds.
     The config decides each network's spec and init seed and each
     optimizer's settings, so the document's copies must equal what that
     fresh state writes; only the trained values are read into it: the
@@ -590,14 +636,13 @@ def state_from_document(doc: dict) -> TrainState:
                          ly.allocate)
     for key, net in (("generator", state.g_net), ("discriminator", state.d_net)):
         _check_decided(doc, key, "init_seed", net.init_seed)
-        _load_network(key, net, doc[key])
+        _read_network(key, net, doc[key])
     for key, opt, net in (("g_optimizer", state.g_opt, state.g_net),
                           ("d_optimizer", state.d_opt, state.d_net)):
-        fresh = opt.state_dict()
-        for name in ("kind", "lr", "beta1", "beta2", "eps"):
-            if name in fresh:   # SGD writes only kind and lr
-                _check_decided(doc, key, name, fresh[name])
-        _load_optimizer(key, opt, doc[key], net)
+        for name, value in opt.settings().items():
+            _check_decided(doc, key, name, value)
+        if isinstance(opt, optim.Adam):
+            _read_adam(key, opt, doc[key], net)
     with _reading("rng"):
         rng_doc = dict(doc["rng"])
     for name, rng in (("noise", state.noise.rng), ("shuffle", state.shuffle_rng),
@@ -615,7 +660,8 @@ class _CheckpointEncoder(json.JSONEncoder):
 
     def default(self, o):
         if isinstance(o, np.ndarray):
-            return ly._b64(o)
+            data = np.ascontiguousarray(o, dtype="<f8").tobytes()
+            return base64.b64encode(data).decode("ascii")
         return super().default(o)
 
 
@@ -623,10 +669,9 @@ def save_checkpoint(state: TrainState, path):
     """Write the checkpoint as it is encoded: the document keeps its arrays,
     so the save holds the text of one array at a time, never the whole
     document's. The bytes are those of json.dumps(checkpoint_document(state),
-    sort_keys=True, separators=(",", ":")) plus a newline."""
-    # np.asarray keeps every array, a 0-d one included, an ndarray (an
-    # np.float64 would be written as a JSON number)
-    doc = checkpoint_document(state, encode=np.asarray)
+    cls=_CheckpointEncoder, sort_keys=True, separators=(",", ":")) plus a
+    newline."""
+    doc = checkpoint_document(state)
     chunks = _CheckpointEncoder(sort_keys=True, separators=(",", ":")).iterencode(doc)
     atomic_write_text(path, itertools.chain(chunks, ["\n"]))
 

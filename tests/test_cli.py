@@ -44,12 +44,17 @@ def work(tmp_path_factory):
     train_out = root / "trained"
     assert main(["train", "--data", str(data), "--out", str(train_out)]
                 + TRAIN_FLAGS) == 0
+    # mlp_gan has no batch norm; this checkpoint stores running statistics
+    bn_out = root / "trained_bn"
+    assert main(["train", "--data", str(data), "--out", str(bn_out), "--variant",
+                 "dcgan1d", "--epochs", "1", "--batch-size", "8", "--seq-len", "32",
+                 "--latent-dim", "4", "--seed", "5"]) == 0
     big_a = root / "big_a.csv"
     write_returns_csv(big_a, np.random.default_rng(1).normal(0.0, 0.01, 2000))
     big_b = root / "big_b.csv"
     write_returns_csv(big_b, np.random.default_rng(2).standard_t(5, 2000) * 0.01)
     return {"root": root, "data": data, "train_out": train_out,
-            "ckpt": train_out / "checkpoint.json",
+            "ckpt": train_out / "checkpoint.json", "bn_ckpt": bn_out / "checkpoint.json",
             "big_a": big_a, "big_b": big_b}
 
 
@@ -335,6 +340,11 @@ def _truncate_parameter(doc):
     entry["data"] = entry["data"][:-5]
 
 
+def _extra_running_statistic(doc):
+    stats = next(iter(doc["generator"]["running"].values()))
+    stats["count"] = stats["mean"]
+
+
 MALFORMED_CHECKPOINTS = {
     "missing_rng_gp": lambda doc: doc["rng"].pop("gp"),
     "truncated_base64": _truncate_parameter,
@@ -367,13 +377,22 @@ MALFORMED_CHECKPOINTS = {
     "learning_rate_not_config": lambda doc: doc["g_optimizer"].update(lr=0.5),
     "init_seed_not_config": lambda doc: doc["generator"].update(
         init_seed=doc["generator"]["init_seed"] + 1),
+    "extra_parameter": lambda doc: doc["generator"]["params"].update(
+        {"9.weight": doc["generator"]["params"]["0.weight"]}),
+    "adam_moment_shape": lambda doc: doc["g_optimizer"]["m"].update(
+        {"0.weight": doc["g_optimizer"]["m"]["0.bias"]}),
+    # these two read the batch-norm checkpoint, work["bn_ckpt"]
+    "running_stats_extra_key": _extra_running_statistic,
+    "running_stats_missing": lambda doc: doc["discriminator"]["running"].popitem(),
 }
+NEEDS_BATCH_NORM = {"running_stats_extra_key", "running_stats_missing"}
 
 
 @pytest.mark.parametrize("command", ["generate", "resume"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
 def test_exit_3_on_malformed_checkpoint(work, tmp_path, capsys, case, command):
-    doc = json.loads(work["ckpt"].read_text(encoding="utf-8"))
+    ckpt = work["bn_ckpt"] if case in NEEDS_BATCH_NORM else work["ckpt"]
+    doc = json.loads(ckpt.read_text(encoding="utf-8"))
     MALFORMED_CHECKPOINTS[case](doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -386,6 +405,21 @@ def test_exit_3_on_malformed_checkpoint(work, tmp_path, capsys, case, command):
     err = capsys.readouterr().err
     assert "bad checkpoint" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["generate", "--n", "4", "--seed", "-1"],
+    ["evaluate", "--bins", "1"],
+    ["evaluate", "--max-lag", "0"],
+], ids=["generate_seed", "evaluate_bins", "evaluate_max_lag"])
+def test_bad_flag_exits_2_before_any_side_effect(work, tmp_path, flags):
+    if flags[0] == "generate":
+        inputs = ["--checkpoint", str(work["ckpt"])]
+    else:
+        inputs = ["--candidate", str(work["big_a"]), "--reference", str(work["big_b"])]
+    out = tmp_path / "new"
+    assert main(flags + inputs + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 class TestEvaluateCommand:

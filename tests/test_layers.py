@@ -552,49 +552,6 @@ class TestNetworkGradients:
         np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-12)
 
 
-class TestSerialization:
-    def test_state_dict_roundtrip_bit_exact(self, rng):
-        spec = ly.NetworkSpec([
-            ly.Reshape((1, 8)),
-            ly.Conv1d(1, 3, 4, stride=2, padding=1),
-            ly.BatchNorm(3),
-            ly.Activation("leaky_relu"),
-            ly.Reshape((12,)),
-            ly.Dense(12, 1),
-            ly.Activation("sigmoid"),
-        ], (8,), "discriminator")
-        net = ly.build(spec, 21)
-        with ad.no_grad():
-            net.forward(ad.Tensor(rng.standard_normal((16, 8))), mode="train")
-        clone = ly.build(spec, 22)  # the load reads no init seed
-        clone.load_state_dict(net.state_dict())
-        for (name_a, pa), (name_b, pb) in zip(net.parameters(), clone.parameters()):
-            assert name_a == name_b
-            np.testing.assert_array_equal(bits(pa.data), bits(pb.data))
-        for key in ("mean", "var"):
-            np.testing.assert_array_equal(bits(net.running[2][key]),
-                                          bits(clone.running[2][key]))
-        x = ad.Tensor(rng.standard_normal((4, 8)))
-        with ad.no_grad():
-            np.testing.assert_array_equal(bits(net.forward(x, mode="eval").data),
-                                          bits(clone.forward(x, mode="eval").data))
-
-    def test_state_dict_is_json_compatible(self):
-        net = ly.build(tiny_generator_spec(), 1)
-        doc = json.loads(json.dumps(net.state_dict()))
-        clone = ly.build(tiny_generator_spec(), 2)
-        clone.load_state_dict(doc)
-        for (_, pa), (_, pb) in zip(net.parameters(), clone.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
-
-    def test_corrupt_state_rejected(self):
-        net = ly.build(tiny_generator_spec(), 1)
-        state = net.state_dict()
-        state["params"]["99.weight"] = state["params"]["0.weight"]
-        with pytest.raises(ly.BuildError):
-            ly.build(tiny_generator_spec(), 1).load_state_dict(state)
-
-
 class TestNoiseSource:
     def test_deterministic_per_seed(self):
         a = ly.NoiseSource("uniform", 5, 9).sample(4).data

@@ -3,6 +3,7 @@
 import csv
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,19 @@ class TestReturnsCsvRoundtrip:
             write_returns_csv(path, np.array([0.25, 0.75]))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["returns.csv"]
+
+    def test_read_peak_memory_stays_below_twice_the_array(self, tmp_path):
+        # a list of Python floats turned into an array peaked at about 5x
+        path = tmp_path / "returns.csv"
+        write_returns_csv(path, np.random.default_rng(0).normal(0.0, 0.02, 100_000))
+        tracemalloc.start()
+        try:
+            values = read_returns_csv(path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 100_000
+        assert peak < 2 * values.nbytes, f"peak {peak} B for a {values.nbytes} B array"
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = make_csv(tmp_path, "a,b\n0,0.1\n", name="r.csv")

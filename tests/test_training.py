@@ -52,7 +52,23 @@ def wgan_config(**kw):
 
 
 def params_blob(net):
-    return json.dumps(net.state_dict(), sort_keys=True)
+    """The bytes of each parameter and running statistic, by name."""
+    blob = {name: np.asarray(p.data).tobytes() for name, p in net.params.items()}
+    blob.update({f"running {key} of layer {idx}": arr.tobytes()
+                 for idx, stats in net.running.items() for key, arr in stats.items()})
+    return blob
+
+
+def checkpoint_text(state):
+    """The canonical JSON text of the checkpoint, a saved file's bytes
+    without the final newline."""
+    return json.dumps(checkpoint_document(state), cls=training._CheckpointEncoder,
+                      sort_keys=True, separators=(",", ":"))
+
+
+def stored_document(state):
+    """The checkpoint as a load reads it: the parsed JSON of its text."""
+    return json.loads(checkpoint_text(state))
 
 
 class TestTrainConfig:
@@ -236,9 +252,8 @@ class TestTrainMechanics:
 class TestCheckpointing:
     def test_document_roundtrip_is_bit_exact(self):
         state = train(small_config(), small_dataset())
-        doc = checkpoint_document(state)
-        redoc = checkpoint_document(state_from_document(doc))
-        assert json.dumps(doc, sort_keys=True) == json.dumps(redoc, sort_keys=True)
+        assert checkpoint_text(state_from_document(stored_document(state))) == \
+            checkpoint_text(state)
 
     def test_save_load_roundtrip(self, tmp_path):
         state = train(small_config(), small_dataset())
@@ -268,8 +283,12 @@ class TestCheckpointing:
         state = train(small_config(gan_variant=variant, seq_len=32, batch_size=4,
                                    epochs=1), small_dataset(seq_len=32, n_values=80))
         save_checkpoint(state, tmp_path / "ckpt.json")
-        assert (tmp_path / "ckpt.json").read_text(encoding="utf-8") == json.dumps(
-            checkpoint_document(state), sort_keys=True, separators=(",", ":")) + "\n"
+        text = (tmp_path / "ckpt.json").read_text(encoding="utf-8")
+        assert text == checkpoint_text(state) + "\n"
+        doc = json.loads(text)
+        for key in ("generator", "discriminator"):
+            assert all(isinstance(entry["data"], str)
+                       for entry in doc[key]["params"].values())
 
     def test_save_peak_memory_stays_below_half_the_file(self, tmp_path):
         # building the whole document, its text and its bytes peaked at about
@@ -350,8 +369,7 @@ class TestCheckpointing:
         assert isinstance(resumed.d_opt, optim.SGD)
         resumed.config.epochs = 3
         resumed = resume(resumed, ds)
-        assert json.dumps(checkpoint_document(resumed), sort_keys=True) == \
-            json.dumps(checkpoint_document(straight), sort_keys=True)
+        assert checkpoint_text(resumed) == checkpoint_text(straight)
 
     def test_resume_rejects_different_dataset(self):
         ds = small_dataset()
@@ -379,7 +397,7 @@ class TestCheckpointing:
 
     def test_rejects_wrong_format_and_version(self):
         state = train(small_config(epochs=1), small_dataset())
-        doc = checkpoint_document(state)
+        doc = stored_document(state)
         with pytest.raises(CheckpointError, match="format"):
             state_from_document({**doc, "format": "other"})
         with pytest.raises(CheckpointError, match="version"):
@@ -395,7 +413,7 @@ class TestCheckpointing:
             ("rng", lambda doc: doc.update(rng="x")),
         )])
     def test_malformed_field_is_named(self, field, mutate):
-        doc = checkpoint_document(train(small_config(epochs=1), small_dataset()))
+        doc = stored_document(train(small_config(epochs=1), small_dataset()))
         mutate(doc)
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             state_from_document(doc)
@@ -417,7 +435,7 @@ class TestCheckpointing:
     ], ids=["optimizer_kind", "lr", "beta2", "eps_as_text", "init_seed",
             "init_seed_as_float", "default_alpha_on_tanh"])
     def test_field_the_config_decides_must_match(self, field, name, mutate):
-        doc = checkpoint_document(train(small_config(epochs=1), small_dataset()))
+        doc = stored_document(train(small_config(epochs=1), small_dataset()))
         mutate(doc)
         with pytest.raises(CheckpointError, match=f"'{field}': {name}"):
             state_from_document(doc)
@@ -430,18 +448,18 @@ class TestCheckpointing:
         idx = next(iter(state.d_net.running))
         state.d_net.running[idx]["var"][0] = bad
         with pytest.raises(CheckpointError, match=f"running var of layer {idx}"):
-            state_from_document(checkpoint_document(state))
+            state_from_document(stored_document(state))
 
     def test_rejects_negative_adam_second_moment(self):
         state = train(small_config(epochs=1), small_dataset())
         name = next(iter(state.g_opt.v))
         state.g_opt.v[name].flat[0] = -1.0
         with pytest.raises(CheckpointError, match=r"Adam v\[.*negative entries"):
-            state_from_document(checkpoint_document(state))
+            state_from_document(stored_document(state))
 
     def test_fresh_adam_needs_no_moments(self):
         state = train(small_config(epochs=1), small_dataset())
-        doc = checkpoint_document(state)
+        doc = stored_document(state)
         doc["g_optimizer"].update(t=0, m={}, v={})
         assert state_from_document(doc).g_opt.t == 0
 
