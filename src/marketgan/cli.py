@@ -230,6 +230,8 @@ def cmd_train(args) -> int:
             state = training.train(config, dataset, checkpoint_hook=checkpoint_hook)
     except CheckpointError as exc:
         raise CliError(EXIT_DATA, f"cannot resume: {exc}") from exc
+    except MemoryError as exc:
+        raise CliError(EXIT_CONFIG, f"bad training config: {exc}") from exc
     except TrainingDivergedError as exc:
         raise CliError(EXIT_NUMERIC, f"training diverged: {exc}") from exc
     except NonFiniteError as exc:
@@ -375,9 +377,10 @@ def cmd_evaluate(args) -> int:
     ref = _load_series(args.reference, "reference")
     out = _ensure_out_dir(args.out)
     # values whose squares overflow make inf or nan on the way; every
-    # statistic written below is refused unless finite, so numpy's warnings
-    # would add nothing
+    # statistic written below is refused unless finite, and a price that
+    # overflows is written as inf, so numpy's warnings would add nothing
     with np.errstate(over="ignore", invalid="ignore"):
+        prices = (returns_to_prices(cand, 1.0), returns_to_prices(ref, 1.0))
         try:
             report = sf.evaluate(cand, ref, thresholds)
         except DegenerateSeriesError as exc:
@@ -399,9 +402,7 @@ def cmd_evaluate(args) -> int:
     atomic_write_text(os.path.join(out, "acf.csv"), acf_chunks)
     atomic_write_text(os.path.join(out, "pdf.csv"), _pdf_csv_chunks(cand, ref, args.bins))
     atomic_write_text(os.path.join(out, "returns.csv"), _series_pair_csv_chunks(cand, ref))
-    atomic_write_text(os.path.join(out, "prices.csv"),
-                      _series_pair_csv_chunks(returns_to_prices(cand, 1.0),
-                                              returns_to_prices(ref, 1.0)))
+    atomic_write_text(os.path.join(out, "prices.csv"), _series_pair_csv_chunks(*prices))
     _write_manifest(
         out, "evaluate",
         {"max_lag": thresholds.linear_max_lag, "bins": args.bins,

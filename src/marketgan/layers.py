@@ -4,11 +4,11 @@ Networks are described declaratively by a NetworkSpec (an ordered list of
 LayerSpecs plus the per-sample input shape) and instantiated by build(),
 which allocates and initializes parameter tensors (a checkpoint load calls
 allocate() alone and reads the trained values in). Keeping the description
-separate from the parameters makes shape validation and checkpointing
-straightforward.
+separate from the parameters makes shape validation straightforward, and a
+checkpoint stores no description: its config names the preset.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,8 +27,8 @@ INIT_STD = 0.02
 
 @dataclass
 class LayerSpec:
-    """One layer of a network. Each kind is a subclass, declared with the
-    `kind` name a checkpoint stores, that owns its fields, shape rule,
+    """One layer of a network. Each kind is a subclass, declared with its
+    `kind` name, that owns its fields, shape rule,
     parameters and forward(x, params, running, mode, update_stats), where
     params are the tensors param_shapes() names and running the
     new_running() stats. Every int field, and every entry of a tuple
@@ -62,10 +62,6 @@ class LayerSpec:
     def new_running(self):
         """Fresh running statistics, or None for a layer that keeps none."""
         return None
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, **asdict(self)}
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
 
 def _expect_channels(shape: tuple, channels: int):
@@ -203,19 +199,9 @@ class Activation(LayerSpec, kind="activation"):
             raise BuildError(f"activation: unknown function {self.fn!r}")
         if self.fn == "leaky_relu" and not 0.0 < self.alpha < 1.0:
             raise BuildError("activation: alpha must lie in (0,1)")
-        # to_dict drops alpha where it does not act, so only the default (the
-        # class attribute) is allowed there: equal dicts mean equal specs
-        if self.fn != "leaky_relu" and self.alpha != Activation.alpha:
-            raise BuildError(f"activation: alpha applies only to leaky_relu, not {self.fn!r}")
 
     def forward(self, x, params, *_):
         return ad.activation(x, self.fn, self.alpha)
-
-    def to_dict(self):
-        d = super().to_dict()
-        if self.fn != "leaky_relu":
-            del d["alpha"]  # written only where it acts
-        return d
 
 
 @dataclass
@@ -267,13 +253,6 @@ class NetworkSpec:
         if self.role not in ("generator", "discriminator", "critic"):
             raise BuildError(f"unknown network role {self.role!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "layers": [layer.to_dict() for layer in self.layers],
-            "input_shape": list(self.input_shape),
-            "role": self.role,
-        }
-
 
 def infer_shapes(spec: NetworkSpec) -> list:
     """Per-sample shape after every layer; raises BuildError on mismatch."""
@@ -314,11 +293,10 @@ def validate(spec: NetworkSpec) -> tuple:
 class Network:
     """A NetworkSpec with instantiated parameters and running statistics."""
 
-    def __init__(self, spec: NetworkSpec, params: dict, running: dict, init_seed: int):
+    def __init__(self, spec: NetworkSpec, params: dict, running: dict):
         self.spec = spec
         self.params = params          # {"3.weight": Tensor, ...} keyed by layer index
         self.running = running        # {3: {"mean": arr, "var": arr}} for batch_norm
-        self.init_seed = init_seed
         self.output_shape = validate(spec)
 
     def parameters(self) -> list:
@@ -395,28 +373,32 @@ def attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     return ad.self_attention(x, wq, wk, wv, gamma_attn)
 
 
-def allocate(spec: NetworkSpec, init_seed: int) -> Network:
+def allocate(spec: NetworkSpec) -> Network:
     """A network for a validated spec with its parameters allocated but not
     drawn: each starts at its constant fill, or at zero where build() would
-    draw it. A checkpoint load fills in the trained values."""
+    draw it. A checkpoint load fills in the trained values. Raises
+    MemoryError when a parameter cannot be allocated."""
     validate(spec)
     params = {}
     running = {}
     for i, layer in enumerate(spec.layers):
         for name, shape, fill in layer.param_shapes():
-            data = np.zeros(shape) if fill is None else np.full(shape, fill)
+            try:
+                data = np.zeros(shape) if fill is None else np.full(shape, fill)
+            except ValueError as exc:  # numpy: larger than the address space can index
+                raise MemoryError(str(exc)) from exc
             params[f"{i}.{name}"] = Tensor(data, requires_grad=True)
         stats = layer.new_running()
         if stats is not None:
             running[i] = stats
-    return Network(spec, params, running, int(init_seed))
+    return Network(spec, params, running)
 
 
 def build(spec: NetworkSpec, init_seed: int) -> Network:
     """allocate(), then draw every parameter that has no constant fill from
     Normal(0, INIT_STD), in layer and param_shapes() order. Deterministic for
     a given seed."""
-    net = allocate(spec, init_seed)
+    net = allocate(spec)
     rng = np.random.default_rng(int(init_seed))
     for i, layer in enumerate(spec.layers):
         for name, shape, fill in layer.param_shapes():

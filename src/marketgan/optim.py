@@ -45,10 +45,6 @@ class SGD:
         for _, p in named_params:
             p.data = p.data - self.lr * p.grad
 
-    def settings(self) -> dict:
-        """The make_optimizer settings this optimizer was built from."""
-        return {"kind": "sgd", "lr": self.lr}
-
 
 class Adam:
     def __init__(self, lr: float = ADAM_LR, beta1: float = ADAM_BETA1,
@@ -82,11 +78,6 @@ class Adam:
             m_hat = self.m[name] / b1c
             v_hat = self.v[name] / b2c
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def settings(self) -> dict:
-        """The make_optimizer settings this optimizer was built from."""
-        return {"kind": "adam", "lr": self.lr, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps}
 
 
 def make_optimizer(settings: dict):

@@ -127,7 +127,9 @@ def moments(r) -> Moments:
     skewness = m3 / m2^(3/2), excess kurtosis = m4 / m2^2 - 3 with
     central moments m_k = mean((r - rbar)^k). The powers are plain
     products of d = r - rbar and d2 = d * d (m3 from d2 * d, m4 from
-    d2 * d2), never a general float power.
+    d2 * d2), never a general float power. m2 stays an np.float64, so a
+    power of it that overflows is inf (and the statistic inf or nan)
+    where a Python float would raise OverflowError.
     """
     values = _as_values(r)
     n = len(values)
@@ -136,13 +138,13 @@ def moments(r) -> Moments:
     mean = float(values.mean())
     d = values - mean
     d2 = d * d
-    m2 = float(d2.mean())
+    m2 = d2.mean()
     if m2 == 0.0:
         raise DegenerateSeriesError("moments of a constant series are undefined")
     m3 = float((d2 * d).mean())
     m4 = float((d2 * d2).mean())
-    return Moments(mean=mean, std=float(np.sqrt(m2)), skewness=m3 / m2 ** 1.5,
-                   excess_kurtosis=m4 / m2 ** 2 - 3.0, n=n)
+    return Moments(mean=mean, std=float(np.sqrt(m2)), skewness=float(m3 / m2 ** 1.5),
+                   excess_kurtosis=float(m4 / m2 ** 2 - 3.0), n=n)
 
 
 def aggregational_gaussianity_profile(r, scales=DEFAULT_SCALES) -> np.ndarray:

@@ -35,7 +35,7 @@ from .autodiff import Tensor
 from .market_data import DataError, WindowedDataset, atomic_write_text, open_input
 
 CHECKPOINT_FORMAT = "marketgan-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -228,13 +228,19 @@ class TrainState:
 
 def _fresh_state(config: TrainConfig, data_scale: float, n_windows: int,
                  make_network=ly.build) -> TrainState:
-    """The state a run of ``config`` starts from; a checkpoint load passes
-    ly.allocate, which skips the initial draw that the load overwrites."""
+    """The state a run of ``config`` starts from; a checkpoint load makes
+    each network with ly.allocate, which skips the initial draw that the
+    load overwrites. Raises MemoryError when the networks cannot be
+    allocated."""
     ss = np.random.SeedSequence(config.seed)
     g_init, d_init, noise_seed, shuffle_seed, gp_seed, diag_seed = ss.spawn(6)
     g_spec, d_spec = ly.preset(config.gan_variant, config.seq_len, config.latent_dim)
-    g_net = make_network(g_spec, g_init.generate_state(1)[0])
-    d_net = make_network(d_spec, d_init.generate_state(1)[0])
+    try:
+        g_net = make_network(g_spec, g_init.generate_state(1)[0])
+        d_net = make_network(d_spec, d_init.generate_state(1)[0])
+    except MemoryError as exc:
+        raise MemoryError(f"cannot allocate the {config.gan_variant} networks for seq_len "
+                          f"{config.seq_len} and latent_dim {config.latent_dim}: {exc}") from exc
     noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, noise_seed)
     return TrainState(
         config, g_net, d_net,
@@ -268,7 +274,8 @@ def train(config: TrainConfig, dataset: WindowedDataset, *,
           checkpoint_hook=None, record_hook=None) -> TrainState:
     """Train from scratch for config.epochs epochs. Hooks are optional:
     checkpoint_hook(state) fires every checkpoint_interval epochs,
-    record_hook(LossRecord) fires per parameter update."""
+    record_hook(LossRecord) fires per parameter update. Raises MemoryError
+    when the config's networks cannot be allocated."""
     config.validate()
     _check_dataset(config, dataset)
     state = _fresh_state(config, dataset.scale, len(dataset))
@@ -458,27 +465,25 @@ def _mean_pairwise_distance(x: np.ndarray) -> float:
 # checkpointing
 # ----------------------------------------------------------------------
 
-def _stored(arrays: dict) -> dict:
-    """A {name: {"shape", "data"}} group whose data stay arrays, np.asarray
-    keeping a 0-d one an ndarray; _CheckpointEncoder writes each as base64."""
-    return {name: {"shape": list(np.shape(a)), "data": np.asarray(a)}
-            for name, a in arrays.items()}
+def _arrays(named: dict) -> dict:
+    """The arrays of a stored group as ndarrays: an update turns a 0-d one
+    (an attention gate, its Adam moments) into an np.float64, which JSON
+    would write as a bare number instead of its base64 text."""
+    return {name: np.asarray(a) for name, a in named.items()}
 
 
 def _network_section(net: ly.Network) -> dict:
     return {
-        "spec": net.spec.to_dict(),
-        "init_seed": int(net.init_seed),
-        "params": _stored({name: p.data for name, p in net.params.items()}),
-        "running": {str(idx): _stored(stats) for idx, stats in net.running.items()},
+        "params": _arrays({name: p.data for name, p in net.params.items()}),
+        "running": {str(idx): _arrays(stats) for idx, stats in net.running.items()},
     }
 
 
 def _optimizer_section(opt) -> dict:
-    section = opt.settings()
+    """Adam's step count and moments; SGD keeps no state."""
     if isinstance(opt, optim.Adam):
-        section.update(t=opt.t, m=_stored(opt.m), v=_stored(opt.v))
-    return section
+        return {"t": opt.t, "m": _arrays(opt.m), "v": _arrays(opt.v)}
+    return {}
 
 
 def checkpoint_document(state: TrainState) -> dict:
@@ -527,39 +532,49 @@ def _exact_names(key: str, stored: dict, expected, label: str):
                               + ("missing" if odd[0] in expected else "not expected"))
 
 
+def _section(doc: dict, key: str, names) -> dict:
+    """doc[key], which must hold exactly the fields ``names``: a field the
+    config decides, such as a v1 spec or learning rate, is refused rather
+    than ignored."""
+    with _reading(key):
+        stored = doc[key]
+    _exact_names(key, stored, names, "{}")
+    return stored
+
+
 def _read_arrays(key: str, stored: dict, shapes: dict, label: str,
                  non_negative=()) -> dict:
-    """Decode a stored {name: {"shape", "data"}} group into {name: array}.
-    It must hold exactly the names of ``shapes``, each with its shape and
-    finite, and those in ``non_negative`` without negative entries; a
-    failure raises CheckpointError naming ``key`` and the entry, whose name
-    ``label`` formats (e.g. "Adam v[{!r}]")."""
+    """Decode a stored {name: base64 text} group into {name: array}. It
+    must hold exactly the names of ``shapes``, each with as many values as
+    its shape (taken from the fresh state) holds, all finite, and those in
+    ``non_negative`` without negative entries; a failure raises
+    CheckpointError naming ``key`` and the entry, whose name ``label``
+    formats (e.g. "Adam v[{!r}]")."""
     _exact_names(key, stored, shapes, label)
     arrays = {}
     for name, shape in shapes.items():
         with _reading(key):
-            entry = stored[name]
-            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-            arr = arr.reshape(tuple(entry["shape"]))
+            arr = np.frombuffer(base64.b64decode(stored[name]), dtype="<f8")
         what = f"checkpoint field {key!r}: {label.format(name)}"
-        if arr.shape != shape:
-            raise CheckpointError(f"{what} has shape {arr.shape}, expected {shape}")
+        if arr.size != math.prod(shape):
+            raise CheckpointError(f"{what} has {arr.size} values, expected "
+                                  f"{math.prod(shape)} for shape {shape}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{what} is not finite")
         if name in non_negative and (arr < 0).any():
             raise CheckpointError(f"{what} has negative entries")
-        arrays[name] = arr.copy()
+        arrays[name] = arr.reshape(shape).copy()
     return arrays
 
 
-def _read_network(key: str, net: ly.Network, stored: dict):
+def _read_network(key: str, net: ly.Network, doc: dict):
     """Read the parameters and running statistics of a stored network
     section into ``net``."""
-    with _reading(key):
-        params, running = stored["params"], stored["running"]
+    stored = _section(doc, key, ("params", "running"))
     shapes = {name: p.shape for name, p in net.params.items()}
-    for name, arr in _read_arrays(key, params, shapes, "parameter {!r}").items():
+    for name, arr in _read_arrays(key, stored["params"], shapes, "parameter {!r}").items():
         net.params[name].data = arr
+    running = stored["running"]
     _exact_names(key, running, [str(idx) for idx in net.running],
                  "running statistics group of layer {}")
     for idx, stats in net.running.items():
@@ -568,31 +583,24 @@ def _read_network(key: str, net: ly.Network, stored: dict):
                                   f"running {{}} of layer {idx}", non_negative={"var"}))
 
 
-def _read_adam(key: str, opt: optim.Adam, stored: dict, net: ly.Network):
-    """Read Adam's step count and moments. They must continue the run
-    exactly: no moments before the first step, afterwards one entry per
-    parameter with its shape (and a non-negative second moment)."""
+def _read_optimizer(key: str, opt, doc: dict, net: ly.Network):
+    """Read Adam's step count and moments; an SGD section is empty. They
+    must continue the run exactly: no moments before the first step,
+    afterwards one entry per parameter with its shape (and a non-negative
+    second moment)."""
+    if not isinstance(opt, optim.Adam):
+        _section(doc, key, ())
+        return
+    stored = _section(doc, key, ("t", "m", "v"))
     with _reading(key):
         t = _whole_number("t", stored["t"])     # int() would truncate
-        m, v = stored["m"], stored["v"]
     if t < 0:
         raise CheckpointError(f"checkpoint field {key!r}: step count {t} is negative")
     shapes = {name: p.shape for name, p in net.params.items()} if t > 0 else {}
     opt.t = t
-    opt.m = _read_arrays(key, m, shapes, f"Adam m[{{!r}}] at step {t}")
-    opt.v = _read_arrays(key, v, shapes, f"Adam v[{{!r}}] at step {t}", non_negative=set(shapes))
-
-
-def _check_decided(doc: dict, key: str, name: str, fresh, message: str = ""):
-    """doc[key][name] is a field the config decides: it must be exactly the
-    ``fresh`` value a state built from that config writes, type included
-    (1 is not 1.0)."""
-    with _reading(key):
-        stored = doc[key][name]
-        same = json.dumps(stored, sort_keys=True) == json.dumps(fresh, sort_keys=True)
-    if not same:
-        raise CheckpointError(f"checkpoint field {key!r}: " + (
-            message or f"{name} {stored!r} is not the {fresh!r} its config sets"))
+    opt.m = _read_arrays(key, stored["m"], shapes, f"Adam m[{{!r}}] at step {t}")
+    opt.v = _read_arrays(key, stored["v"], shapes, f"Adam v[{{!r}}] at step {t}",
+                         non_negative=set(shapes))
 
 
 def _count(key: str, value) -> int:
@@ -606,12 +614,12 @@ def _count(key: str, value) -> int:
 def state_from_document(doc: dict) -> TrainState:
     """Load a stored checkpoint document, the parsed JSON of a saved file
     (each array as its base64 text), into the fresh state its config builds.
-    The config decides each network's spec and init seed and each
-    optimizer's settings, so the document's copies must equal what that
-    fresh state writes; only the trained values are read into it: the
+    The config decides each network's architecture and each optimizer's
+    settings, so the document holds only what training changes: the
     parameters, running statistics, Adam's step count and moments, the RNG
-    states, epoch and step. Every malformed, missing, non-finite or
-    disagreeing field raises CheckpointError naming it."""
+    states, epoch and step. Every malformed, missing, unexpected or
+    non-finite field raises CheckpointError naming it, and so does a config
+    whose networks cannot be allocated."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -621,28 +629,21 @@ def state_from_document(doc: dict) -> TrainState:
     with _reading("config"):
         config = TrainConfig.from_flat(doc["config"])
         config.validate()
-        specs = ly.preset(config.gan_variant, config.seq_len, config.latent_dim)
-    # compare before building, so that an edited config cannot make the load
-    # allocate networks that no stored spec describes
-    for key, spec in zip(("generator", "discriminator"), specs):
-        _check_decided(doc, key, "spec", spec.to_dict(), "spec is not the preset its "
-                       f"config names ({config.gan_variant})")
     with _reading("data_scale"):
         data_scale = float(doc["data_scale"])
     if not (math.isfinite(data_scale) and data_scale > 0):
         raise CheckpointError(f"checkpoint field 'data_scale' must be positive "
                               f"and finite, got {data_scale!r}")
-    state = _fresh_state(config, data_scale, _count("n_windows", doc.get("n_windows")),
-                         ly.allocate)
+    n_windows = _count("n_windows", doc.get("n_windows"))
+    try:
+        state = _fresh_state(config, data_scale, n_windows, lambda spec, _: ly.allocate(spec))
+    except MemoryError as e:
+        raise CheckpointError(f"checkpoint field 'config': {e}") from e
     for key, net in (("generator", state.g_net), ("discriminator", state.d_net)):
-        _check_decided(doc, key, "init_seed", net.init_seed)
-        _read_network(key, net, doc[key])
+        _read_network(key, net, doc)
     for key, opt, net in (("g_optimizer", state.g_opt, state.g_net),
                           ("d_optimizer", state.d_opt, state.d_net)):
-        for name, value in opt.settings().items():
-            _check_decided(doc, key, name, value)
-        if isinstance(opt, optim.Adam):
-            _read_adam(key, opt, doc[key], net)
+        _read_optimizer(key, opt, doc, net)
     with _reading("rng"):
         rng_doc = dict(doc["rng"])
     for name, rng in (("noise", state.noise.rng), ("shuffle", state.shuffle_rng),

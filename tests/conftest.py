@@ -75,23 +75,20 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-def huge_spec_checkpoint(ckpt, path):
-    """A copy of a checkpoint whose generator spec takes a 2**40-wide input,
-    consistently (input shape and first Dense layer), so building it would
-    allocate terabytes."""
+def huge_config_checkpoint(ckpt, path):
+    """A copy of a checkpoint whose config sets latent_dim to 2**40, so the
+    generator's first weight alone would take petabytes."""
     doc = json.loads(ckpt.read_text())
-    spec = doc["generator"]["spec"]
-    spec["input_shape"] = [2 ** 40]
-    spec["layers"][0]["in_features"] = 2 ** 40
+    doc["config"]["latent_dim"] = 2 ** 40
     path.write_text(json.dumps(doc))
     return path
 
 
-def overflowing_series(path):
-    """2,000 t(5) returns with one cell at 1e308: finite, but its squares
-    overflow float64."""
+def overflowing_series(path, value=1e308, index=100):
+    """2,000 t(5) returns with one cell set to ``value`` (by default 1e308:
+    finite, but its squares overflow float64)."""
     values = np.random.default_rng(2).standard_t(5, 2000) * 0.01
-    values[100] = 1e308
+    values[index] = value
     write_returns_csv(path, values)
     return path
 

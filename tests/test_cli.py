@@ -13,12 +13,15 @@ import math
 import os
 import platform
 import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from conftest import huge_spec_checkpoint, overflowing_series
+import marketgan
+from conftest import huge_config_checkpoint, overflowing_series
 from marketgan.cli import main
 from marketgan.market_data import load_return_series, write_returns_csv
 
@@ -203,16 +206,36 @@ class TestTrainCommand:
 
     def test_exit_3_on_huge_consistent_spec_without_allocating(self, work, tmp_path,
                                                                capsys):
-        # a stored spec that is consistent but names a 2**40-wide input is
-        # refused by the preset check before any parameter is allocated
-        ckpt = huge_spec_checkpoint(work["ckpt"], tmp_path / "huge.json")
+        # a config whose preset is consistent but takes a 2**40-wide input:
+        # its first weight cannot be allocated, and the load names the config
+        ckpt = huge_config_checkpoint(work["ckpt"], tmp_path / "huge.json")
         capsys.readouterr()
         assert main(["train", "--resume", str(ckpt), "--data", str(work["data"]),
                      "--out", str(tmp_path / "t")]) == 3
         assert main(["generate", "--checkpoint", str(ckpt), "--n", "10",
                      "--out", str(tmp_path / "g")]) == 3
         err = capsys.readouterr().err
-        assert err.count("spec is not the preset") == 2 and "Traceback" not in err
+        assert err.count("checkpoint field 'config': cannot allocate") == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--latent-dim", 2 ** 40, "cannot allocate the mlp_gan networks for seq_len 8 "
+                                  f"and latent_dim {2 ** 40}"),
+        ("--latent-dim", 2 ** 62, "cannot allocate the mlp_gan networks for seq_len 8 "
+                                  f"and latent_dim {2 ** 62}"),
+        ("--batch-size", 2 ** 50, "Unable to allocate"),
+    ], ids=["latent_dim_2**40", "latent_dim_2**62", "batch_size_2**50"])
+    def test_exit_2_on_config_too_large_to_allocate(self, work, tmp_path, capsys, flag,
+                                                    value, message):
+        # each asks for petabytes, past any address space (2**62 for more than
+        # numpy can index), so nothing is allocated; the batch fails at the
+        # generator's first noise draw
+        capsys.readouterr()
+        assert main(["train", "--data", str(work["data"]), "--out", str(tmp_path)]
+                    + TRAIN_FLAGS + [flag, str(value)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad training config: {message}")
+        assert not (tmp_path / "checkpoint.json").exists()
 
     def test_exit_2_on_resume_epochs_before_checkpoint(self, work, tmp_path):
         first = tmp_path / "first"
@@ -329,15 +352,25 @@ class TestGenerateCommand:
                      "--n", "4", "--out", str(tmp_path)]) == 3
 
 
+def _set_weights(doc, values):
+    doc["generator"]["params"]["0.weight"] = base64.b64encode(
+        np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _nan_weights(doc):
-    entry = doc["generator"]["params"]["0.weight"]
-    nan = np.full(entry["shape"], np.nan, dtype="<f8")
-    entry["data"] = base64.b64encode(nan.tobytes()).decode("ascii")
+    size = len(base64.b64decode(doc["generator"]["params"]["0.weight"])) // 8
+    _set_weights(doc, np.full(size, np.nan))
 
 
 def _truncate_parameter(doc):
-    entry = doc["generator"]["params"]["0.weight"]
-    entry["data"] = entry["data"][:-5]
+    params = doc["generator"]["params"]
+    params["0.weight"] = params["0.weight"][:-5]
+
+
+def _v1_spec(net, layer):
+    """A version-1 spec field holding one (edited) layer: version 2 stores
+    no spec, so the load refuses it whatever it says."""
+    return lambda doc: doc[net].update(spec={"layers": [layer]})
 
 
 def _extra_running_statistic(doc):
@@ -354,29 +387,25 @@ MALFORMED_CHECKPOINTS = {
     "fractional_epoch": lambda doc: doc.update(epoch=doc["epoch"] + 0.5),
     "fractional_adam_step": lambda doc: doc["d_optimizer"].update(
         t=doc["d_optimizer"]["t"] + 0.5),
-    "parameter_shape": lambda doc: doc["generator"]["params"]["0.weight"].update(shape=[1]),
+    "parameter_shape": lambda doc: _set_weights(doc, [0.5]),
     "nan_weights": _nan_weights,
     "empty_adam_moments": lambda doc: doc["g_optimizer"].update(m={}),
-    "nan_learning_rate": lambda doc: doc["d_optimizer"].update(lr=float("nan")),
     "config_seq_len_off_by_one": lambda doc: doc["config"].update(
         seq_len=doc["config"]["seq_len"] + 1),
-    "spec_extra_tanh": lambda doc: doc["generator"]["spec"]["layers"].append(
-        {"kind": "activation", "fn": "tanh"}),
-    "spec_unknown_kind": lambda doc: doc["generator"]["spec"]["layers"][1].update(
-        kind="dropout"),
-    "spec_foreign_field": lambda doc: doc["generator"]["spec"]["layers"][0].update(
-        kernel_size=3),
-    "spec_relu_with_alpha": lambda doc: doc["generator"]["spec"]["layers"][1].update(
-        fn="relu", alpha=0.1),
-    # the default alpha, which acts only on leaky_relu, is not written for tanh
-    "spec_default_alpha_on_tanh": lambda doc: doc["discriminator"]["spec"]["layers"][1]
-    .update(alpha=0.2),
-    # the config says Adam at 2e-4 for both networks and seed 5
+    # version-1 fields the config decides: a version-2 section holds only
+    # what training changes, so each is refused rather than ignored
+    "spec_extra_tanh": _v1_spec("generator", {"kind": "activation", "fn": "tanh"}),
+    "spec_unknown_kind": _v1_spec("generator", {"kind": "dropout"}),
+    "spec_foreign_field": _v1_spec("generator", {"kind": "dense", "kernel_size": 3}),
+    "spec_relu_with_alpha": _v1_spec("generator", {"kind": "activation", "fn": "relu",
+                                                   "alpha": 0.1}),
+    "spec_default_alpha_on_tanh": _v1_spec("discriminator", {"kind": "activation",
+                                                             "fn": "tanh", "alpha": 0.2}),
     "optimizer_kind_not_config": lambda doc: doc.update(
         d_optimizer={"kind": "sgd", "lr": 5.0}),
     "learning_rate_not_config": lambda doc: doc["g_optimizer"].update(lr=0.5),
-    "init_seed_not_config": lambda doc: doc["generator"].update(
-        init_seed=doc["generator"]["init_seed"] + 1),
+    "nan_learning_rate": lambda doc: doc["d_optimizer"].update(lr=float("nan")),
+    "init_seed_not_config": lambda doc: doc["generator"].update(init_seed=0),
     "extra_parameter": lambda doc: doc["generator"]["params"].update(
         {"9.weight": doc["generator"]["params"]["0.weight"]}),
     "adam_moment_shape": lambda doc: doc["g_optimizer"]["m"].update(
@@ -384,6 +413,7 @@ MALFORMED_CHECKPOINTS = {
     # these two read the batch-norm checkpoint, work["bn_ckpt"]
     "running_stats_extra_key": _extra_running_statistic,
     "running_stats_missing": lambda doc: doc["discriminator"]["running"].popitem(),
+    "version_1": lambda doc: doc.update(version=1),
 }
 NEEDS_BATCH_NORM = {"running_stats_extra_key", "running_stats_missing"}
 
@@ -515,6 +545,33 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert statistic in err and "not finite" in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("role", ["candidate", "reference"])
+    def test_one_huge_cell_at_any_decade_exits_0_or_4(self, work, tmp_path, role):
+        # a cell between about 1e78 and 1e154 once made a power of the
+        # second moment raise OverflowError out of main
+        codes = {}
+        for k in range(10, 301):
+            series = {"candidate": work["big_b"], "reference": work["big_b"],
+                      role: overflowing_series(tmp_path / "huge.csv", 10.0 ** k, 0)}
+            code = main(["evaluate", "--candidate", str(series["candidate"]),
+                         "--reference", str(series["reference"]),
+                         "--out", str(tmp_path / "ev")])
+            codes.setdefault(code, []).append(k)
+        assert set(codes) <= {0, 4}, codes
+
+    def test_prices_that_overflow_leave_stderr_empty(self, work, tmp_path):
+        # exp of a 1e60 cumulative return is inf in prices.csv; numpy's
+        # overflow warning used to reach stderr although evaluate exits 0
+        huge = overflowing_series(tmp_path / "huge.csv", 1e60, 0)
+        src = os.path.dirname(os.path.dirname(marketgan.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "marketgan.cli", "evaluate", "--candidate", str(huge),
+             "--reference", str(work["big_b"]), "--out", str(tmp_path / "ev")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "inf" in (tmp_path / "ev" / "prices.csv").read_text()
 
     def test_exit_4_on_degenerate_series(self, work, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

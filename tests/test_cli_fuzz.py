@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import huge_spec_checkpoint, overflowing_series
+from conftest import huge_config_checkpoint, overflowing_series
 from marketgan.cli import main
 from marketgan.market_data import write_returns_csv
 
@@ -115,9 +115,14 @@ def inputs(tmp_path_factory):
     assert run(["evaluate", "--candidate", str(big), "--reference", str(data),
                 "--out", str(evaluated)]) == 0
     return {"data": data, "prices": prices, "ckpt": trained / "checkpoint.json",
-            "huge_ckpt": huge_spec_checkpoint(trained / "checkpoint.json",
-                                              root / "huge.json"),
+            "huge_ckpt": huge_config_checkpoint(trained / "checkpoint.json",
+                                                root / "huge.json"),
             "big": big, "overflow": overflowing_series(root / "overflow.csv"),
+            # "big" with its first return replaced where a power of the second
+            # moment overflowed: at 6.56e77 in the excess kurtosis at aggregation
+            # scale 63 (6.55e77 itself stays just below), at 2.52e104 in the skewness
+            "big_6.56e77": overflowing_series(root / "big_6.56e77.csv", 6.56e77, 0),
+            "big_2.52e104": overflowing_series(root / "big_2.52e104.csv", 2.52e104, 0),
             "evaluated": evaluated}
 
 
@@ -287,6 +292,8 @@ def test_generate(inputs, data, source):
        mutate=st.just(True))
 @example(data=Drawn([]), candidate="overflow", reference="big", mutate=False)
 @example(data=Drawn([]), candidate="big", reference="overflow", mutate=False)
+@example(data=Drawn([]), candidate="big_6.56e77", reference="big", mutate=False)
+@example(data=Drawn([]), candidate="big_2.52e104", reference="big", mutate=False)
 def test_evaluate(inputs, data, candidate, reference, mutate):
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)

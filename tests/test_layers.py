@@ -1,6 +1,4 @@
-"""Layer specs, shape inference, presets, parameter init and serialization."""
-
-import json
+"""Layer specs, shape inference, presets and parameter init."""
 
 import numpy as np
 import pytest
@@ -46,21 +44,6 @@ class TestLayerSpec:
         r = ly.Reshape((2, 3))
         assert (r.kind, r.shape) == ("reshape", (2, 3))
 
-    def test_roundtrip_through_dict(self):
-        # a checkpoint compares its stored layer dicts, read back from JSON,
-        # with the ones its config's preset writes: equal layers must give
-        # equal text and different layers different text
-        layers = [ly.Dense(2, 3), ly.Dense(3, 2), ly.Conv1d(1, 4, 3, 2, 1),
-                  ly.Conv1dTranspose(1, 4, 3, 2, 1), ly.Conv1dTranspose(4, 2, 5, 2, 1),
-                  ly.BatchNorm(6), *(ly.Activation(fn) for fn in ad._ACTIVATIONS),
-                  ly.Activation("leaky_relu", alpha=0.5), ly.self_attention(8),
-                  ly.self_attention(8, 2), ly.Reshape((2, 2)), ly.Reshape((4,))]
-        texts = [json.dumps(json.loads(json.dumps(layer.to_dict())), sort_keys=True)
-                 for layer in layers]
-        for a, text_a in zip(layers, texts):
-            for b, text_b in zip(layers, texts):
-                assert (text_a == text_b) == (a == b)
-
     @pytest.mark.parametrize("make, field", [
         (lambda: ly.Conv1dTranspose(2, 1, 4, stride=0), "stride"),
         (lambda: ly.Conv1dTranspose(2, 1, 0), "kernel_size"),
@@ -69,11 +52,9 @@ class TestLayerSpec:
             (8,), "generator"), 0), r"layer 1 \(batch_norm\)"),
         (lambda: ly.Reshape((-2, -4)), "shape"),
         (lambda: ly.Conv1d(1, 0, 3), "out_channels"),
-        (lambda: ly.Activation("tanh", alpha=0.5), "alpha"),
         (lambda: ly.self_attention(8, -3), "query_channels"),
     ], ids=["transpose_stride_0", "transpose_kernel_0", "batch_norm_3d",
-            "negative_reshape", "conv_0_out_channels", "tanh_with_alpha",
-            "attention_negative_query"])
+            "negative_reshape", "conv_0_out_channels", "attention_negative_query"])
     def test_invalid_layer_rejected_before_forward(self, make, field):
         with pytest.raises(ly.BuildError, match=field):
             make()
@@ -212,17 +193,6 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             ly.preset("stylegan")
-
-    def test_spec_roundtrip_through_dict(self):
-        # the comparison a checkpoint load makes: every preset spec's dict,
-        # read back from JSON, has the text of its own dict and of no other
-        specs = [spec for name in ly.PRESET_NAMES for seq_len in (64, 65)
-                 for spec in ly.preset(name, seq_len=seq_len, latent_dim=10)]
-        texts = [json.dumps(json.loads(json.dumps(spec.to_dict())), sort_keys=True)
-                 for spec in specs]
-        for a, text_a in zip(specs, texts):
-            for b, text_b in zip(specs, texts):
-                assert (text_a == text_b) == (a == b)
 
 
 class TestBuildAndInit:

@@ -31,11 +31,9 @@ class TestSGD:
             optim.SGD(lr=0.0)
 
     def test_state_roundtrip(self):
-        # SGD's state is its settings; a checkpoint load requires them to be
-        # what the config builds
+        # SGD keeps no state, so a checkpoint load rebuilds it from the config
         opt = optim.make_optimizer({"kind": "sgd", "lr": 0.3})
-        assert isinstance(opt, optim.SGD)
-        assert opt.settings() == {"kind": "sgd", "lr": 0.3}
+        assert isinstance(opt, optim.SGD) and opt.lr == 0.3
         assert optim.make_optimizer({"kind": "sgd"}).lr == optim.ADAM_LR
 
 

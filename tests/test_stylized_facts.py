@@ -9,6 +9,7 @@ draws) pin down the verdict logic.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ class TestMoments:
         assert m.excess_kurtosis == pytest.approx(
             float(scipy.stats.kurtosis(values, fisher=True, bias=True)), rel=1e-10)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e76, 1e100, 1e150])
+    def test_matches_scipy_up_to_overflow(self, rng, scale):
+        # at 1e100 the fourth central moment overflows, at 1e150 the third
+        # and the powers of the second: then both give nan, where the powers
+        # taken on Python floats raised OverflowError
+        values = rng.standard_t(5, size=400) * scale
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            m = moments(values)
+            expected = [scipy.stats.skew(values, bias=True),
+                        scipy.stats.kurtosis(values, fisher=True, bias=True)]
+        np.testing.assert_allclose([m.skewness, m.excess_kurtosis], expected, rtol=1e-10)
+
     def test_matches_brute_force_heavy_tails(self, rng):
         values = rng.standard_t(3, size=2000) * 0.01
         skew, exkurt = brute_moments(values)
@@ -311,6 +325,12 @@ class TestKolmogorovSmirnov:
 
     def test_matches_scipy(self, rng):
         a, b = rng.normal(size=300), rng.standard_t(4, size=200)
+        expected = float(scipy.stats.ks_2samp(a, b).statistic)
+        assert ks_statistic(a, b) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_matches_scipy_at_any_magnitude(self, rng, scale):
+        a, b = rng.standard_t(5, size=400) * scale, rng.normal(size=300) * scale
         expected = float(scipy.stats.ks_2samp(a, b).statistic)
         assert ks_statistic(a, b) == pytest.approx(expected, rel=1e-12)
 

@@ -286,9 +286,43 @@ class TestCheckpointing:
         text = (tmp_path / "ckpt.json").read_text(encoding="utf-8")
         assert text == checkpoint_text(state) + "\n"
         doc = json.loads(text)
-        for key in ("generator", "discriminator"):
-            assert all(isinstance(entry["data"], str)
-                       for entry in doc[key]["params"].values())
+        for group in (doc["generator"]["params"], doc["discriminator"]["params"],
+                      doc["g_optimizer"]["m"], doc["d_optimizer"]["v"]):
+            assert all(isinstance(entry, str) for entry in group.values())
+
+    def test_v2_layout(self):
+        # only what training changes: nothing the config decides, and each
+        # array as its base64 text alone (an SGD section is empty)
+        state = train(TrainConfig(gan_variant="dcgan1d", epochs=1, batch_size=4,
+                                  seq_len=32, latent_dim=8, seed=1,
+                                  d_optimizer={"kind": "sgd", "lr": 0.01}),
+                      small_dataset(seq_len=32, n_values=120, stride=8))
+        doc = stored_document(state)
+        assert set(doc) == {"format", "version", "config", "epoch", "step", "data_scale",
+                            "n_windows", "rng", "generator", "discriminator",
+                            "g_optimizer", "d_optimizer"}
+        assert doc["version"] == 2
+        assert set(doc["rng"]) == {"noise", "shuffle", "gp", "diag"}
+        for key, net in (("generator", state.g_net), ("discriminator", state.d_net)):
+            assert set(doc[key]) == {"params", "running"}
+            assert set(doc[key]["params"]) == set(net.params)
+            assert set(doc[key]["running"]) == {str(idx) for idx in net.running} != set()
+            groups = [doc[key]["params"], *doc[key]["running"].values()]
+            assert all(set(g) == {"mean", "var"} for g in groups[1:])
+            assert all(isinstance(text, str) for g in groups for text in g.values())
+        assert set(doc["g_optimizer"]) == {"t", "m", "v"}
+        assert set(doc["g_optimizer"]["m"]) == set(state.g_net.params)
+        assert doc["d_optimizer"] == {}
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+
+        decided = {"spec", "init_seed", "kind", "lr", "beta1", "beta2", "eps", "shape",
+                   "data"}
+        assert not decided & set(keys(doc))
 
     def test_save_peak_memory_stays_below_half_the_file(self, tmp_path):
         # building the whole document, its text and its bytes peaked at about
@@ -400,8 +434,10 @@ class TestCheckpointing:
         doc = stored_document(state)
         with pytest.raises(CheckpointError, match="format"):
             state_from_document({**doc, "format": "other"})
-        with pytest.raises(CheckpointError, match="version"):
-            state_from_document({**doc, "version": 99})
+        for version in (1, 99):
+            with pytest.raises(CheckpointError, match=f"unsupported checkpoint version "
+                                                      f"{version}"):
+                state_from_document({**doc, "version": version})
 
     @pytest.mark.parametrize("field, mutate", [
         pytest.param(field, mutate, id=field) for field, mutate in (
@@ -423,21 +459,36 @@ class TestCheckpointing:
          lambda doc: doc.update(d_optimizer={"kind": "sgd", "lr": 5.0})),
         ("g_optimizer", "lr", lambda doc: doc["g_optimizer"].update(lr=0.5)),
         ("g_optimizer", "beta2", lambda doc: doc["g_optimizer"].update(beta2=0.9)),
-        ("d_optimizer", "eps",
-         lambda doc: doc["d_optimizer"].update(eps=str(doc["d_optimizer"]["eps"]))),
-        ("generator", "init_seed",
-         lambda doc: doc["generator"].update(init_seed=doc["generator"]["init_seed"] + 1)),
+        ("d_optimizer", "eps", lambda doc: doc["d_optimizer"].update(eps="1e-08")),
+        ("generator", "init_seed", lambda doc: doc["generator"].update(init_seed=1)),
         ("discriminator", "init_seed",
-         lambda doc: doc["discriminator"].update(
-             init_seed=float(doc["discriminator"]["init_seed"]))),
-        ("generator", "spec",
-         lambda doc: doc["generator"]["spec"]["layers"][1].update(alpha=0.2)),
+         lambda doc: doc["discriminator"].update(init_seed=1.0)),
+        ("generator", "spec", lambda doc: doc["generator"].update(
+            spec={"layers": [{"kind": "activation", "fn": "tanh", "alpha": 0.2}]})),
     ], ids=["optimizer_kind", "lr", "beta2", "eps_as_text", "init_seed",
             "init_seed_as_float", "default_alpha_on_tanh"])
     def test_field_the_config_decides_must_match(self, field, name, mutate):
+        # the config is the only copy: a version-1 copy of what it decides is
+        # refused by name, not silently outranked
         doc = stored_document(train(small_config(epochs=1), small_dataset()))
         mutate(doc)
         with pytest.raises(CheckpointError, match=f"'{field}': {name}"):
+            state_from_document(doc)
+
+    def test_wrong_length_array_is_named(self):
+        doc = stored_document(train(small_config(epochs=1), small_dataset()))
+        params = doc["discriminator"]["params"]
+        params["0.bias"] = params["0.weight"]
+        with pytest.raises(CheckpointError, match=r"'discriminator': parameter '0.bias' "
+                                                  r"has 2048 values, expected 256"):
+            state_from_document(doc)
+
+    def test_networks_too_large_to_allocate(self):
+        with pytest.raises(MemoryError, match="latent_dim 1099511627776"):
+            train(small_config(latent_dim=2 ** 40), small_dataset())
+        doc = stored_document(train(small_config(epochs=1), small_dataset()))
+        doc["config"]["latent_dim"] = 2 ** 62
+        with pytest.raises(CheckpointError, match="'config': cannot allocate"):
             state_from_document(doc)
 
     @pytest.mark.parametrize("bad", [np.inf, -1.0])
