@@ -329,15 +329,16 @@ def _first_non_finite(doc: dict, prefix: str = ""):
     return None
 
 
-def _acf_csv_chunks(cand: np.ndarray, ref: np.ndarray, max_lag: int):
-    rho_c = sf.acf(cand, max_lag)
-    rho_r = sf.acf(ref, max_lag)
+def _acf_csv_chunks(report: sf.StylizedFactsReport, ref: np.ndarray):
+    """The candidate's autocorrelations and band come from the report."""
+    rho_c = report.acf_returns
+    rho_r = sf.acf(ref, len(rho_c))
     if not np.isfinite(rho_r).all():
         raise CliError(EXIT_NUMERIC, "the reference autocorrelation in acf.csv is not "
                                      "finite: the values are too large for float64")
-    band = _num(sf.confidence_band(len(cand)))
+    band = _num(report.linear_band)
     return csv_chunks(ACF_HEADER, (f"{lag},{_num(c)},{_num(r)},{band}"
-                                   for lag, c, r in zip(range(1, max_lag + 1), rho_c, rho_r)))
+                                   for lag, c, r in zip(range(1, len(rho_c) + 1), rho_c, rho_r)))
 
 
 def _pdf_csv_chunks(cand: np.ndarray, ref: np.ndarray, bins: int):
@@ -388,7 +389,7 @@ def cmd_evaluate(args) -> int:
         except sf.InsufficientDataError as exc:
             raise CliError(EXIT_DATA, f"not enough data: {exc}") from exc
         try:
-            acf_chunks = _acf_csv_chunks(cand, ref, thresholds.linear_max_lag)
+            acf_chunks = _acf_csv_chunks(report, ref)
         except sf.InsufficientDataError as exc:
             raise CliError(EXIT_DATA, f"not enough data for the ACF table: {exc}") from exc
 

@@ -12,6 +12,18 @@ turn a score into a verdict lives in FactThresholds and is echoed into
 the report, so downstream consumers always see which bar was applied.
 All estimators are biased plug-in versions (divide by N), which keeps
 them reproducible by brute-force oracles to 1e-12.
+
+Each public function checks its input once with _as_values (one
+dimension, finite values). The ACF and the moments also serve other
+statistics, so their arithmetic lives in the kernels _acf and _moments,
+which take an already-checked float64 array: volatility_clustering_score
+and aggregational_gaussianity_profile call them on the arrays they
+derive, which are not re-checked as input series. evaluate calls the
+public functions by their module names, so a wrapper installed on the
+module (a tracer, say) sees every statistic, and a report holds the bits
+the public functions return one by one. A mean is np.add.reduce(x) /
+len(x): the pairwise sum and the one division that ndarray.mean does,
+without its wrapper.
 """
 
 from __future__ import annotations
@@ -64,14 +76,11 @@ def _as_values(r) -> np.ndarray:
     return values
 
 
-def acf(r, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations rho(1..max_lag).
+def _mean(x: np.ndarray) -> np.float64:
+    return np.add.reduce(x) / len(x)
 
-    rho(tau) = sum_t (r_t - rbar)(r_{t+tau} - rbar) / sum_t (r_t - rbar)^2
-    with the full-sample mean in both places, so |rho| <= 1 and a
-    brute-force double loop reproduces it exactly.
-    """
-    values = _as_values(r)
+
+def _acf(values: np.ndarray, max_lag: int) -> np.ndarray:
     max_lag = int(max_lag)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
@@ -79,7 +88,7 @@ def acf(r, max_lag: int) -> np.ndarray:
     if n <= max_lag + 1:
         raise InsufficientDataError(
             f"need more than {max_lag + 1} observations for {max_lag} lags, got {n}")
-    centered = values - values.mean()
+    centered = values - _mean(values)
     denom = float(np.dot(centered, centered))
     if denom == 0.0:
         raise DegenerateSeriesError("autocorrelation of a constant series is undefined")
@@ -87,6 +96,16 @@ def acf(r, max_lag: int) -> np.ndarray:
     for tau in range(1, max_lag + 1):
         out[tau - 1] = np.dot(centered[:-tau], centered[tau:]) / denom
     return out
+
+
+def acf(r, max_lag: int) -> np.ndarray:
+    """Sample autocorrelations rho(1..max_lag).
+
+    rho(tau) = sum_t (r_t - rbar)(r_{t+tau} - rbar) / sum_t (r_t - rbar)^2
+    with the full-sample mean in both places, so |rho| <= 1 and a
+    brute-force double loop reproduces it exactly.
+    """
+    return _acf(_as_values(r), max_lag)
 
 
 def confidence_band(n: int, multiplier: float = 2.0) -> float:
@@ -104,8 +123,8 @@ def volatility_clustering_score(r, max_lag: int = 20, summary_lags: int = 10):
     values = _as_values(r)
     if summary_lags < 1 or summary_lags > max_lag:
         raise ValueError("summary_lags must lie in [1, max_lag]")
-    rho_abs = acf(np.abs(values), max_lag)
-    return rho_abs, float(rho_abs[:summary_lags].mean())
+    rho_abs = _acf(np.abs(values), max_lag)
+    return rho_abs, float(_mean(rho_abs[:summary_lags]))
 
 
 @dataclass(frozen=True)
@@ -121,6 +140,22 @@ class Moments:
                 "excess_kurtosis": self.excess_kurtosis, "n": self.n}
 
 
+def _moments(values: np.ndarray) -> Moments:
+    n = len(values)
+    if n < 4:
+        raise InsufficientDataError(f"moments need at least 4 observations, got {n}")
+    mean = float(_mean(values))
+    d = values - mean
+    d2 = d * d
+    m2 = _mean(d2)
+    if m2 == 0.0:
+        raise DegenerateSeriesError("moments of a constant series are undefined")
+    m3 = float(_mean(d2 * d))
+    m4 = float(_mean(d2 * d2))
+    return Moments(mean=mean, std=float(np.sqrt(m2)), skewness=float(m3 / m2 ** 1.5),
+                   excess_kurtosis=float(m4 / m2 ** 2 - 3.0), n=n)
+
+
 def moments(r) -> Moments:
     """Biased plug-in sample moments.
 
@@ -131,25 +166,14 @@ def moments(r) -> Moments:
     power of it that overflows is inf (and the statistic inf or nan)
     where a Python float would raise OverflowError.
     """
-    values = _as_values(r)
-    n = len(values)
-    if n < 4:
-        raise InsufficientDataError(f"moments need at least 4 observations, got {n}")
-    mean = float(values.mean())
-    d = values - mean
-    d2 = d * d
-    m2 = d2.mean()
-    if m2 == 0.0:
-        raise DegenerateSeriesError("moments of a constant series are undefined")
-    m3 = float((d2 * d).mean())
-    m4 = float((d2 * d2).mean())
-    return Moments(mean=mean, std=float(np.sqrt(m2)), skewness=float(m3 / m2 ** 1.5),
-                   excess_kurtosis=float(m4 / m2 ** 2 - 3.0), n=n)
+    return _moments(_as_values(r))
 
 
 def aggregational_gaussianity_profile(r, scales=DEFAULT_SCALES) -> np.ndarray:
     """Excess kurtosis of k-day non-overlapping aggregate returns, one
-    entry per scale. Heavy tails at scale 1 should wash out as k grows."""
+    entry per scale. Heavy tails at scale 1 should wash out as k grows.
+    Block sums of finite returns may overflow to inf: that entry is then
+    inf or nan, not an error."""
     values = _as_values(r)
     scales = tuple(int(k) for k in scales)
     if not scales or any(k < 1 for k in scales):
@@ -164,7 +188,7 @@ def aggregational_gaussianity_profile(r, scales=DEFAULT_SCALES) -> np.ndarray:
     for i, k in enumerate(scales):
         blocks = n // k
         agg = values[: blocks * k].reshape(blocks, k).sum(axis=1)
-        profile[i] = moments(agg).excess_kurtosis
+        profile[i] = _moments(agg).excess_kurtosis
     return profile
 
 
@@ -218,7 +242,7 @@ def wasserstein1(a, b) -> float:
     if len(a) == 0 or len(b) == 0:
         raise InsufficientDataError("wasserstein1 needs non-empty samples")
     m = min(len(a), len(b))
-    return float(np.abs(a[:m] - b[:m]).mean())
+    return float(_mean(np.abs(a[:m] - b[:m])))
 
 
 def leverage_effect_score(r, max_lag: int = 10) -> np.ndarray:
@@ -238,8 +262,9 @@ def leverage_effect_score(r, max_lag: int = 10) -> np.ndarray:
     squares = values * values
     out = np.empty(max_lag)
     for tau in range(1, max_lag + 1):
-        dx = values[:-tau] - values[:-tau].mean()
-        dy = squares[tau:] - squares[tau:].mean()
+        x, y = values[:-tau], squares[tau:]
+        dx = x - _mean(x)
+        dy = y - _mean(y)
         sxx = float(np.dot(dx, dx))
         syy = float(np.dot(dy, dy))
         if sxx == 0.0 or syy == 0.0:
@@ -317,7 +342,7 @@ def evaluate(candidate, reference, thresholds: FactThresholds | None = None) -> 
     rho = acf(cand, t.linear_max_lag)
     band = confidence_band(len(cand), t.acf_band_multiplier)
     # fraction of return autocorrelations inside the white-noise band
-    linear_score = float((np.abs(rho) < band).mean())
+    linear_score = float(_mean(np.abs(rho) < band))
     rho_abs, vol_summary = volatility_clustering_score(
         cand, t.volatility_max_lag, t.volatility_summary_lags)
     profile = aggregational_gaussianity_profile(cand, t.aggregational_scales)

@@ -22,6 +22,7 @@ import pytest
 
 import marketgan
 from conftest import huge_config_checkpoint, overflowing_series
+from marketgan import stylized_facts as sf
 from marketgan.cli import main
 from marketgan.market_data import load_return_series, write_returns_csv
 
@@ -503,6 +504,19 @@ class TestEvaluateCommand:
         assert len(doc["linear_unpredictability"]["acf"]) == 5
         acf_lines = (out / "acf.csv").read_text().splitlines()
         assert len(acf_lines) == 1 + 5
+
+    @pytest.mark.parametrize("max_lag", [20, 5])
+    def test_acf_csv_rows_are_the_public_acf(self, work, tmp_path, max_lag):
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--candidate", str(work["big_a"]),
+                     "--reference", str(work["big_b"]), "--max-lag", str(max_lag),
+                     "--out", str(out)]) == 0
+        cand = load_return_series(work["big_a"]).values
+        ref = load_return_series(work["big_b"]).values
+        band = repr(sf.confidence_band(len(cand)))
+        rows = [f"{lag},{float(c)!r},{float(r)!r},{band}\n" for lag, c, r in
+                zip(range(1, max_lag + 1), sf.acf(cand, max_lag), sf.acf(ref, max_lag))]
+        assert (out / "acf.csv").read_text() == "lag,candidate,reference,band\n" + "".join(rows)
 
     def test_exit_2_on_bad_flags(self, work, tmp_path):
         base = ["evaluate", "--candidate", str(work["big_a"]),

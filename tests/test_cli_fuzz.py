@@ -111,6 +111,12 @@ def inputs(tmp_path_factory):
     assert run(["train", "--data", str(data), "--out", str(trained)] + CKPT_FLAGS) == 0
     big = root / "big.csv"
     write_returns_csv(big, np.random.default_rng(2).standard_t(5, 2000) * 0.01)
+    # finite t(4) returns whose aggregated block sums overflow to inf: once
+    # a traceback, because the profile re-checked the sums as an input series
+    block_overflow = root / "block_overflow.csv"
+    cand = np.random.default_rng(3).standard_t(4, 5000) * 0.01
+    cand[100:164] = 1e307
+    write_returns_csv(block_overflow, cand)
     evaluated = root / "evaluated"
     assert run(["evaluate", "--candidate", str(big), "--reference", str(data),
                 "--out", str(evaluated)]) == 0
@@ -123,6 +129,7 @@ def inputs(tmp_path_factory):
             # scale 63 (6.55e77 itself stays just below), at 2.52e104 in the skewness
             "big_6.56e77": overflowing_series(root / "big_6.56e77.csv", 6.56e77, 0),
             "big_2.52e104": overflowing_series(root / "big_2.52e104.csv", 2.52e104, 0),
+            "block_overflow": block_overflow,
             "evaluated": evaluated}
 
 
@@ -294,6 +301,7 @@ def test_generate(inputs, data, source):
 @example(data=Drawn([]), candidate="big", reference="overflow", mutate=False)
 @example(data=Drawn([]), candidate="big_6.56e77", reference="big", mutate=False)
 @example(data=Drawn([]), candidate="big_2.52e104", reference="big", mutate=False)
+@example(data=Drawn([]), candidate="block_overflow", reference="big", mutate=False)
 def test_evaluate(inputs, data, candidate, reference, mutate):
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
@@ -311,6 +319,18 @@ def test_evaluate(inputs, data, candidate, reference, mutate):
             json.loads((tmp / "e" / "report.json").read_text(),
                        parse_constant=lambda name: pytest.fail(f"report.json has {name}"))
             assert run(["report", "--out", str(tmp / "e")]) == 0
+
+
+def test_evaluate_block_sums_that_overflow_exit_4(inputs, tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["evaluate", "--candidate", str(inputs["block_overflow"]),
+                     "--reference", str(inputs["data"]), "--out", str(tmp_path / "e")])
+    assert code == 4
+    # the mean's sum overflows too, and the report names its first non-finite entry
+    assert err.getvalue() == ("error: statistic moments.mean is not finite: the values "
+                              "are too large for float64\n")
+    assert not (tmp_path / "e" / "report.json").exists()
 
 
 @FUZZ

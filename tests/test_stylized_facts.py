@@ -571,3 +571,134 @@ class TestInvarianceProperties:
         assert wasserstein1(a, a) == 0.0
         shifted = a + 0.25
         assert wasserstein1(a, shifted) == pytest.approx(0.25, rel=1e-9)
+
+
+def one_by_one(candidate, reference, t):
+    """Every report field from the public functions, called one by one."""
+    m = moments(candidate)
+    rho = acf(candidate, t.linear_max_lag)
+    band = confidence_band(len(candidate), t.acf_band_multiplier)
+    rho_abs, summary = volatility_clustering_score(
+        candidate, t.volatility_max_lag, t.volatility_summary_lags)
+    return {
+        "moments": m,
+        "linear_score": float((np.abs(rho) < band).mean()),
+        "linear_band": band,
+        "acf_returns": rho,
+        "acf_abs": rho_abs,
+        "volatility_summary": summary,
+        "aggregational_profile": aggregational_gaussianity_profile(
+            candidate, t.aggregational_scales),
+        "leverage": leverage_effect_score(candidate, t.leverage_max_lag),
+        "ks": ks_statistic(candidate, reference),
+        "w1": wasserstein1(candidate, reference),
+    }
+
+
+def _t4(seed, n):
+    return np.random.default_rng(seed).standard_t(4, n) * 0.01
+
+
+# (candidate, reference, thresholds); None stands for the fixture series
+EVALUATE_CASES = {
+    "fixture": (None, _t4(1, 3000), FactThresholds()),
+    "t4": (_t4(2, 5000), None, FactThresholds()),
+    # three decimals: ties within each series and across the two
+    "rounded": (np.round(_t4(3, 4000), 3),
+                np.round(np.random.default_rng(4).normal(0.0, 0.01, 2500), 3),
+                FactThresholds()),
+    # the shortest candidate each length check accepts, and a one-value reference
+    "shortest_blocks": (_t4(5, 63 * 30), _t4(6, 1), FactThresholds()),
+    "shortest_scale_one": (_t4(7, 30), _t4(8, 1),
+                           FactThresholds(aggregational_scales=(1,))),
+    "shortest_acf": (_t4(9, 42), _t4(10, 3),
+                     FactThresholds(linear_max_lag=40, volatility_max_lag=40,
+                                    aggregational_scales=(1,))),
+    "shortest_leverage": (_t4(11, 52), _t4(12, 3),
+                          FactThresholds(leverage_max_lag=50, aggregational_scales=(1,))),
+    "scales_without_one": (_t4(13, 3000), None,
+                           FactThresholds(aggregational_scales=(2, 7, 30))),
+    "scale_one_last": (_t4(14, 3000), None, FactThresholds(aggregational_scales=(5, 1))),
+}
+
+
+class TestEvaluateMatchesPublicFunctions:
+    """evaluate's report holds the same bits as the public functions
+    called one by one, and it reaches each of them by its module name."""
+
+    @pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
+    def test_bit_equal(self, case, fixture_returns):
+        cand, ref, t = (fixture_returns if v is None else v for v in EVALUATE_CASES[case])
+        report = evaluate(cand, ref, t)
+        for name, want in one_by_one(cand, ref, t).items():
+            got = getattr(report, name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), name
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            else:
+                assert got == want and type(got) is type(want), name
+
+    def test_calls_each_statistic_by_its_module_name(self, fixture_returns, monkeypatch):
+        # a wrapper installed on the module (the benchmark's tracer) sees every call
+        import marketgan.stylized_facts as sf
+        calls = []
+        for name in ("moments", "acf", "volatility_clustering_score",
+                     "aggregational_gaussianity_profile", "leverage_effect_score",
+                     "ks_statistic", "wasserstein1"):
+            def wrapped(*args, _name=name, _fn=getattr(sf, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(sf, name, wrapped)
+        sf.evaluate(_t4(27, 3000), fixture_returns)
+        assert calls == ["moments", "acf", "volatility_clustering_score",
+                         "aggregational_gaussianity_profile", "leverage_effect_score",
+                         "ks_statistic", "wasserstein1"]
+
+    @pytest.mark.parametrize("candidate,reference,thresholds,error,message", [
+        # the reference is checked before any statistic of the candidate
+        (np.ones(3), [np.nan], FactThresholds(), ValueError,
+         "series contains non-finite values"),
+        (np.arange(3.0), [0.0], FactThresholds(), InsufficientDataError,
+         "moments need at least 4 observations, got 3"),
+        (np.full(3000, 0.01), [], FactThresholds(), DegenerateSeriesError,
+         "moments of a constant series are undefined"),
+        (_t4(20, 21), [], FactThresholds(), InsufficientDataError,
+         "need more than 21 observations for 20 lags, got 21"),
+        (_t4(21, 3000), [], FactThresholds(volatility_summary_lags=30), ValueError,
+         "summary_lags must lie in [1, max_lag]"),
+        # magnitudes all equal: the returns' ACF exists, that of |r| does not
+        (np.where(np.random.default_rng(22).random(3000) < 0.5, -0.01, 0.01), [],
+         FactThresholds(), DegenerateSeriesError,
+         "autocorrelation of a constant series is undefined"),
+        (_t4(23, 25), [], FactThresholds(), InsufficientDataError,
+         "need at least 30 blocks at scale 63; series of length 25 gives 0"),
+        (_t4(24, 3000), [], FactThresholds(aggregational_scales=()), ValueError,
+         "scales must be positive integers"),
+        # only the last return differs: lag 1 of the leverage has a constant slice
+        (np.append(np.zeros(63 * 30 - 1), 0.01), [], FactThresholds(),
+         DegenerateSeriesError, "leverage correlation undefined for constant inputs"),
+        (_t4(25, 3000), [], FactThresholds(), InsufficientDataError,
+         "ks_statistic needs non-empty samples"),
+    ], ids=["reference_non_finite", "moments_short", "moments_constant", "acf_short",
+            "summary_lags", "abs_constant", "blocks_short", "no_scales",
+            "leverage_constant", "reference_empty"])
+    def test_errors_keep_their_type_message_and_order(self, candidate, reference,
+                                                      thresholds, error, message):
+        with pytest.raises(error) as raised:
+            evaluate(candidate, reference, thresholds)
+        assert type(raised.value) is error and str(raised.value) == message
+        if not np.isfinite(reference).all():
+            return
+        with pytest.raises(error) as raised:
+            one_by_one(candidate, reference, thresholds)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    def test_overflowing_block_sums_give_non_finite_profile(self, fixture_returns):
+        # finite returns whose 5-day squares and 21- and 63-day sums overflow
+        cand = _t4(26, 5000)
+        cand[100:164] = 1e307
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = evaluate(cand, fixture_returns)
+            profile = aggregational_gaussianity_profile(cand)
+        assert not np.isfinite(report.aggregational_profile).any()
+        assert profile.tobytes() == report.aggregational_profile.tobytes()
