@@ -32,7 +32,8 @@ The reverse sweep computes only the branches that lead to its targets (the
 tensors grad() was asked about, or the leaves backward() fills): a node
 runs its backward closure only when one of its inputs is a target or was
 produced by such a node, and the closure is told which inputs need a
-gradient, so a gradient nobody reads is never formed.
+gradient, so a gradient nobody reads is never formed. It lets go of each
+intermediate gradient once the closure that reads it has run.
 """
 
 from __future__ import annotations
@@ -204,10 +205,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(inputs: tuple) -> bool:
+    """Whether an op on ``inputs`` is recorded: recording is on and one of
+    them requires gradients."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 def _record(op: str, out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     if op not in _FINITE_PRESERVING:
         _check_finite(out_data, op)
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    requires = _records(inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = requires
@@ -913,6 +920,12 @@ def batch_norm_inference(x: Tensor, gamma: Tensor, beta: Tensor,
 # self-attention
 # ---------------------------------------------------------------------
 
+# windows per block of the map an unrecorded self_attention builds: at the
+# sagan1d generator's length 63 a block is 1 MB, an eval chunk of 256
+# windows 8 MB
+_ATTENTION_BLOCK = 32
+
+
 def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, gate: Tensor) -> Tensor:
     """Self-attention over the positions of a [B,C,L] feature map (Zhang et
     al. 2019) as one recorded op: out = x + gate * (V @ A).
@@ -922,7 +935,10 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, gate: Tensor) 
     along axis 1, so the weights that each output position mixes sum to
     one. ``gate`` is a scalar. The forward makes the gemm calls of the
     composite of conv1d, matmul and softmax and has its bits; a non-finite
-    value it forms is reported as this op.
+    value it forms is reported as this op. A recorded call keeps the whole
+    [B,L,L] map for its backward; an unrecorded one (under no_grad, or with
+    no input that requires gradients) forms it _ATTENTION_BLOCK windows at a
+    time, with the same bits, so an eval batch holds a bounded map.
 
     The backward is closed-form. With P = V^T g and r = sum(P * A) down each
     column, softmax's backward gives S = A * (P - r) at the scores. Q, K
@@ -944,11 +960,18 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, gate: Tensor) 
                          f"{wq.shape}, {wk.shape} and {wv.shape}")
     if gate.shape != ():
         raise ShapeError(f"self_attention: the gate must be a scalar, got shape {gate.shape}")
+    inputs = (x, wq, wk, wv, gate)
     cols = _im2col(x.data, 1, 1, 0)              # [B, L, C]
     q, k, v = (cols @ w.data.reshape(w.shape[0], channels).T for w in (wq, wk, wv))
-    a = q @ k.transpose(0, 2, 1)                 # [B, L, L], a[b,i,j] = q_i . k_j
-    _softmax_data(a, 1, out=a)                   # columns (fixed j) sum to 1
-    out = x.data + gate.data * (v.transpose(0, 2, 1) @ a)
+    block = batch if _records(inputs) else _ATTENTION_BLOCK
+    a = np.empty((min(block, batch), length, length))
+    out = np.empty(x.shape)
+    for lo in range(0, batch, max(block, 1)):
+        part = slice(lo, lo + block)
+        blk = a[: min(block, batch - lo)]
+        np.matmul(q[part], k[part].transpose(0, 2, 1), out=blk)  # a[b,i,j] = q_i . k_j
+        _softmax_data(blk, 1, out=blk)                          # columns (fixed j) sum to 1
+        np.add(x.data[part], gate.data * (v[part].transpose(0, 2, 1) @ blk), out=out[part])
     cols = cols.reshape(batch * length, channels)
 
     def backward_fn(g, need):
@@ -980,7 +1003,7 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, gate: Tensor) 
             gx = add(g, mul(transpose_last(reshape(gx, (batch, length, channels))), gate))
         return (gx, *grads, tsum(r) if need[4] else None)
 
-    return _record("self_attention", out, (x, wq, wk, wv, gate), backward_fn)
+    return _record("self_attention", out, inputs, backward_fn)
 
 
 # ---------------------------------------------------------------------
@@ -1007,15 +1030,21 @@ def _reachable(root: _Node):
 def _walk(loss: Tensor, is_target, create_graph: bool):
     """Run the reverse sweep from ``loss`` towards the tensors for which
     ``is_target`` holds. Returns the reachable nodes and
-    {id(tensor): (tensor, grad Tensor)}.
+    {id(tensor): (tensor, grad Tensor)} for the leaves and targets that got
+    a gradient.
 
     Nodes come in recording order, so one forward pass marks each node
     live when one of its inputs is a target or was produced by a live
     node. Only live nodes run their backward closure, which gets one flag
-    per input saying whether that input needs a gradient. Raises TapeError
-    if backward() already consumed any node on the way. The ops the sweep
-    runs are not screened for non-finite values (see _SWEEPING); the
-    caller screens the gradients it returns.
+    per input saying whether that input needs a gradient. A node's output
+    gradient is complete before its closure runs, since every user of the
+    output was recorded later; the sweep lets go of it as soon as the
+    closure has run, unless the caller asked for it (a target, which may
+    be the loss itself), so the sweep holds only the gradients still
+    waiting for their node's closure and those of leaves and targets.
+    Raises TapeError if backward() already consumed any node on the way.
+    The ops the sweep runs are not screened for non-finite values (see
+    _SWEEPING); the caller screens the gradients it returns.
     """
     global _SWEEPING
     nodes = _reachable(loss._node)
@@ -1032,25 +1061,38 @@ def _walk(loss: Tensor, is_target, create_graph: bool):
     ctx = nullcontext() if create_graph else no_grad()
     prev, _SWEEPING = _SWEEPING, True
     try:
-        grads = {id(loss): loss}
+        tensors = {id(loss): loss}
         acc = {id(loss): Tensor(np.ones_like(loss.data))}
         with ctx:
             for node, need in reversed(plan):
-                g = acc.get(node.out_id)
-                if g is None:
-                    continue
-                in_grads = node.backward_fn(g, need)
-                for t, ig in zip(node.inputs, in_grads):
-                    if ig is None:
-                        continue
-                    if id(t) in acc:
-                        acc[id(t)] = add(acc[id(t)], ig)
-                    else:
-                        acc[id(t)] = ig
-                        grads[id(t)] = t
+                _sweep_node(node, need, is_target, tensors, acc)
     finally:
         _SWEEPING = prev
-    return nodes, {k: (grads[k], acc[k]) for k in acc}
+    return nodes, {k: (tensors[k], acc[k]) for k in acc}
+
+
+def _sweep_node(node: _Node, need: tuple, is_target, tensors: dict, acc: dict):
+    """One node of _walk's sweep: take the node's output gradient from
+    ``acc`` (it stays there only if the output is a target), run the
+    closure and add what it returns into the gradients of its inputs.
+    ``tensors`` maps the id of every tensor in ``acc`` to the tensor. A
+    function, so the gradients it holds are let go when it returns."""
+    out_id = node.out_id
+    if out_id not in acc:
+        return
+    if is_target(tensors[out_id]):
+        g = acc[out_id]
+    else:
+        g = acc.pop(out_id)
+        del tensors[out_id]
+    for t, ig in zip(node.inputs, node.backward_fn(g, need)):
+        if ig is None:
+            continue
+        if id(t) in acc:
+            acc[id(t)] = add(acc[id(t)], ig)
+        else:
+            acc[id(t)] = ig
+            tensors[id(t)] = t
 
 
 def _check_scalar(loss: Tensor):
@@ -1072,7 +1114,10 @@ def backward(loss: Tensor):
     used to compute ``loss``. Gradients of intermediate tensors are not
     retained; use grad() to query those. The sweep computes only the
     branches that lead to such leaves: a leaf whose ``requires_grad`` is
-    off (a frozen parameter) gets no gradient and costs none.
+    off (a frozen parameter) gets no gradient and costs none. It frees each
+    intermediate gradient, the loss's own included, as soon as the closure
+    of the node that produced that tensor has read it, so a long chain of
+    ops holds a few gradients at a time, not one per op.
 
     Consumes the recording: running backward or grad() again over any of
     the same nodes raises TapeError until a fresh forward pass re-records

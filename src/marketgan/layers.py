@@ -8,6 +8,7 @@ separate from the parameters makes shape validation straightforward, and a
 checkpoint stores no description: its config names the preset.
 """
 
+import copy
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -298,6 +299,7 @@ class Network:
         self.params = params          # {"3.weight": Tensor, ...} keyed by layer index
         self.running = running        # {3: {"mean": arr, "var": arr}} for batch_norm
         self.output_shape = validate(spec)
+        self._folded = None           # folded(): indices of batch norms its params hold
 
     def parameters(self) -> list:
         """(name, tensor) pairs in a fixed order."""
@@ -315,13 +317,16 @@ class Network:
         mode it uses the stored running statistics. An eval-mode batch norm
         is the fixed per-channel map ad.frozen_batch_norm. Right after a
         Conv1dTranspose, or after a Dense directly or through one Reshape
-        to [C, L], it is folded into that layer's parameters (see
-        _batch_norm_folds) instead of mapping the activations; anywhere
+        to [C, L], it is folded into that layer's parameters (see folded()
+        and _batch_norm_folds) instead of mapping the activations; anywhere
         else it runs as batch_norm_inference, the same map over the
-        activations.
+        activations. A network that folded() returned runs in eval mode
+        only.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        if mode == "train" and self._folded is not None:
+            raise ValueError("a folded network runs in eval mode only")
         if update_stats is None:
             update_stats = mode == "train"
         x = ad._as_tensor(x)
@@ -330,18 +335,37 @@ class Network:
             raise ad.ShapeError(
                 f"input shape {x.shape} does not match spec "
                 f"[batch, {', '.join(map(str, expected))}]")
-        folds = _batch_norm_folds(self.spec.layers) if mode == "eval" else {}
-        folded = set(folds.values())
+        net = self.folded() if mode == "eval" and self._folded is None else self
+        skip = net._folded or ()
         for i, layer in enumerate(self.spec.layers):
-            if i in folded:
-                continue  # folded into the layer before it
-            params = self._layer_params(i)
-            if i in folds:
-                j = folds[i]
-                params = _fold_batch_norm(*params, self._layer_params(j), self.running[j],
-                                          layer.fold_axis)
-            x = layer.forward(x, params, self.running.get(i), mode, update_stats)
+            if i not in skip:
+                x = layer.forward(x, net._layer_params(i), self.running.get(i), mode,
+                                  update_stats)
         return x
+
+    def folded(self) -> "Network":
+        """This network with every batch norm of _batch_norm_folds folded
+        into the layer before it, for eval-mode forwards only: the fold
+        runs once here instead of once per forward, and each forward has
+        the bits of this network's eval forward. The folded parameters are
+        module ops on this network's, so under recording a folded forward
+        reaches them; a caller that runs many forwards under no_grad, as
+        training's sampler does, folds once under no_grad. A folded network
+        is its own fold."""
+        if self._folded is not None:
+            return self
+        folds = _batch_norm_folds(self.spec.layers)
+        params = dict(self.params)
+        for i, j in folds.items():
+            layer = self.spec.layers[i]
+            names = [f"{i}.{name}" for name, _, _ in layer.param_shapes()]
+            params.update(zip(names, _fold_batch_norm(
+                *self._layer_params(i), self._layer_params(j), self.running[j],
+                layer.fold_axis)))
+        net = copy.copy(self)
+        net.params = params
+        net._folded = frozenset(folds.values())
+        return net
 
     def _layer_params(self, i: int) -> list:
         return [self.params[f"{i}.{name}"] for name, _, _ in self.spec.layers[i].param_shapes()]

@@ -19,6 +19,8 @@ state.
 from __future__ import annotations
 
 import base64
+import ctypes
+import functools
 import itertools
 import json
 import math
@@ -296,7 +298,35 @@ def resume(state: TrainState, dataset: WindowedDataset, *,
     return _run(state, dataset, checkpoint_hook, record_hook)
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _steady_heap():
+    """Keep freed numpy buffers in the heap for the rest of the process.
+
+    By default glibc serves large blocks with mmap and unmaps them when
+    they are freed, and hands free memory at the heap top back to the
+    kernel, with thresholds that move as the program runs; every training
+    step then faults its arrays back in page by page. Fixed thresholds of
+    32 MiB for mmap and 64 MiB for trimming (setting either one turns the
+    moving thresholds off) keep up to 64 MiB of freed heap for reuse. The
+    setting is process-wide, made once, by the first training call. A C
+    library without mallopt (not glibc) is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _run(state: TrainState, dataset: WindowedDataset, checkpoint_hook, record_hook):
+    _steady_heap()
     config = state.config
     wasserstein = config.gan_variant == "wgan_gp"
     n_critic = config.resolved_n_critic()
@@ -419,9 +449,10 @@ def _sample_eval(state, n_series: int, rng) -> np.ndarray:
     noise = ly.NoiseSource(config.noise_distribution, config.latent_dim, rng)
     done = 0
     with ad.no_grad():
+        g_net = state.g_net.folded()    # once for every chunk
         while done < n_series:
             take = min(256, n_series - done)
-            out[done: done + take] = state.g_net.forward(noise.sample(take), mode="eval").data
+            out[done: done + take] = g_net.forward(noise.sample(take), mode="eval").data
             done += take
     return out
 

@@ -1,6 +1,7 @@
 """Tensor, recording and operator tests, anchored by finite differences."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -204,6 +205,57 @@ class TestSweepPruning:
                 gc.enable()
 
 
+def _traced_peak(fn) -> int:
+    """Bytes that tracemalloc saw allocated at once during fn(), beyond
+    what was already allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepMemory:
+    """The sweep lets go of each intermediate gradient once it is used."""
+
+    MIB = 1 << 20
+
+    @staticmethod
+    def chain(x, links):
+        # three elementwise ops per link, each forming a new gradient array
+        outs = []
+        for _ in range(links):
+            x = ad.tanh(x * 0.5 + 0.25)
+            outs.append(x)
+        return outs
+
+    def test_backward_holds_a_few_gradients_at_once(self):
+        x = ad.Tensor(np.linspace(-2.0, 2.0, self.MIB // 8), requires_grad=True)
+        loss = ad.tsum(self.chain(x, 10)[-1])
+        peak = _traced_peak(lambda: ad.backward(loss))
+        # the leaf's .grad, the gradient in flight and tanh's temporaries;
+        # keeping every gradient until the sweep ends took over 20 MiB
+        assert peak < 6 * self.MIB, peak / self.MIB
+        assert x.grad.shape == x.shape
+
+    def test_grad_keeps_what_it_was_asked_for(self):
+        x = ad.Tensor(np.linspace(-2.0, 2.0, 64), requires_grad=True)
+        outs = self.chain(x, 10)
+        loss = ad.tsum(outs[-1])
+        g_mid, g_loss, g_x = ad.grad(loss, [outs[4], loss, x])
+        np.testing.assert_array_equal(g_loss.data, 1.0)
+        # tanh's closure multiplies by 1 - out * out, add passes the
+        # gradient on, mul by 0.5 multiplies it: the same numpy steps
+        expect = np.ones(x.shape)
+        for out in reversed(outs[5:]):
+            expect = expect * (1.0 - out.data * out.data) * 0.5
+        np.testing.assert_array_equal(g_mid.data, expect)
+        (g_x_alone,) = ad.grad(loss, [x])
+        np.testing.assert_array_equal(g_x.data, g_x_alone.data)
+
+
 class TestDoubleBackward:
     def test_second_derivative_of_cube(self):
         x = ad.Tensor([2.0], requires_grad=True)
@@ -328,9 +380,9 @@ class TestForwardScreening:
         # the twin of test_backward_screens_only_leaf_gradients for the
         # generate path: no mask is built, the reshapes, relus and tanh are
         # not screened, and each batch norm is folded into the layer before
-        # it by ops on parameter-sized arrays: frozen_batch_norm's constants,
-        # scale = gamma * inv and (bias - mean) * scale + beta, then
-        # weight * scale
+        # it by ops on parameter-sized arrays, all folds before the first
+        # layer runs: frozen_batch_norm's constants, scale = gamma * inv and
+        # (bias - mean) * scale + beta, then weight * scale
         gen = ly.build(ly.preset("wgan_gp")[0], init_seed=5)
         z = ad.Tensor(np.random.default_rng(5).uniform(-1.0, 1.0, (4, 100)))
         screened = []
@@ -345,8 +397,7 @@ class TestForwardScreening:
             gen.forward(z, mode="eval")
         fold = ["tensor construction", "mul", "tensor construction", "sub", "mul", "add",
                 "mul"]
-        assert screened == (fold + ["linear"] + (fold + ["conv1d_transpose", "add"]) * 2
-                            + ["conv1d_transpose", "add"])
+        assert screened == fold * 3 + ["linear"] + ["conv1d_transpose", "add"] * 3
 
 
 _EXTREMES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
@@ -1201,6 +1252,35 @@ class TestFusedSelfAttention:
         with pytest.raises(ad.ShapeError, match="self_attention"):
             ad.self_attention(*(ad.Tensor(np.zeros(shape)) for shape in
                                 (x_shape, q_shape, k_shape, v_shape, gate_shape)))
+
+    @staticmethod
+    def attention_inputs(batch, rng):
+        channels, length = 4, 95
+        return [rng.standard_normal((batch, channels, length)),
+                rng.normal(0.0, 0.3, (1, channels, 1)), rng.normal(0.0, 0.3, (1, channels, 1)),
+                rng.normal(0.0, 0.3, (channels, channels, 1)), np.asarray(0.7)]
+
+    @staticmethod
+    def unrecorded(x, *weights):
+        with ad.no_grad():
+            return ad.self_attention(*map(ad.Tensor, (x, *weights))).data
+
+    @pytest.mark.parametrize("batch", [70, 257])
+    def test_unrecorded_map_in_blocks_keeps_the_bits(self, batch, rng):
+        arrays = self.attention_inputs(batch, rng)
+        recorded = ad.self_attention(*(ad.Tensor(a, requires_grad=True) for a in arrays))
+        assert recorded._node is not None
+        got = self.unrecorded(*arrays)
+        np.testing.assert_array_equal(bits(got), bits(recorded.data))
+        one_by_one = [self.unrecorded(arrays[0][b: b + 1], *arrays[1:]) for b in range(batch)]
+        np.testing.assert_array_equal(bits(got), bits(np.concatenate(one_by_one)))
+
+    def test_unrecorded_map_is_not_held_whole(self, rng):
+        x, *weights = self.attention_inputs(257, rng)
+        peak = _traced_peak(lambda: self.unrecorded(x, *weights))
+        # the whole [B, L, L] map is 17.7 MiB here, a block of
+        # _ATTENTION_BLOCK windows 2.2 MiB
+        assert peak < x.shape[0] * x.shape[2] ** 2 * 8 // 2, peak
 
     def test_non_finite_value_names_the_op(self):
         # q . k overflows to inf, and the softmax turns it into NaN

@@ -426,9 +426,15 @@ class TestBatchNormFold:
         with ad.no_grad():
             got = net.forward(z, mode="eval").data
             ref = unfolded_eval(net, z).data
+            folded = net.folded()
+            # folding ahead of time changes no bit
+            np.testing.assert_array_equal(folded.forward(z, mode="eval").data, got)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         if not net.running:  # nothing to fold: the same ops, the same bits
             np.testing.assert_array_equal(got, ref)
+        assert folded.folded() is folded
+        with pytest.raises(ValueError, match="eval mode only"):
+            folded.forward(z, mode="train")
 
     @pytest.mark.parametrize("spec,calls", [
         (ly.preset("dcgan1d")[0], 0),

@@ -7,14 +7,23 @@ semantics), not sample quality.
 
 import json
 import os
+import platform
+import resource
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from marketgan import autodiff as ad
 from marketgan import layers as ly
 from marketgan import optim, training
-from marketgan.market_data import DataError, WindowedDataset, normalize_and_window
+from marketgan.market_data import (
+    DataError,
+    WindowedDataset,
+    fixture_path,
+    load_return_series,
+    normalize_and_window,
+)
 from marketgan.training import (
     CheckpointError,
     LossRecord,
@@ -618,6 +627,46 @@ class TestGenerate:
     def test_rejects_bad_count(self, trained):
         with pytest.raises(ValueError, match="n_series"):
             generate(trained, 0, seed=0)
+
+    def test_folds_once_per_call(self, monkeypatch):
+        state = training._fresh_state(wgan_config(gan_variant="dcgan1d"), 1.0, 10)
+        config = state.config
+        noise = ly.NoiseSource(config.noise_distribution, config.latent_dim,
+                               np.random.default_rng(4))
+        with ad.no_grad():
+            chunks = [state.g_net.forward(noise.sample(n), mode="eval").data
+                      for n in (256, 256, 88)]
+        folds = []
+        real = ly._fold_batch_norm
+        monkeypatch.setattr(ly, "_fold_batch_norm", lambda *a: folds.append(1) or real(*a))
+        out = generate(state, 600, seed=4)
+        # one fold per batch norm of the generator, not one per chunk
+        assert len(folds) == len(ly._batch_norm_folds(state.g_net.spec.layers)) == 3
+        np.testing.assert_array_equal(out, np.concatenate(chunks))
+
+
+class TestSteadyHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+    def test_a_warm_epoch_faults_in_few_pages(self):
+        # with glibc's moving thresholds, each epoch of this run handed its
+        # freed arrays back to the kernel and faulted thousands of pages in
+        series = load_return_series(fixture_path())
+        config = TrainConfig(gan_variant="wgan_gp", epochs=1, batch_size=32, seq_len=127,
+                             latent_dim=100, seed=3)
+        dataset = normalize_and_window(series.values, config.seq_len, 12)
+        state = train(config, dataset)                  # the warm-up epoch
+        state.config.epochs = 2
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        resume(state, dataset)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 500, faults
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        class NoMallopt:
+            pass
+
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: NoMallopt())
+        assert training._steady_heap.__wrapped__() is None
 
 
 class TestDiversityDiagnostic:

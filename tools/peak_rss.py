@@ -1,11 +1,14 @@
-"""Print the peak RSS of each command in one CLI chain of a benchmark workload.
+"""Print the peak RSS and minor page faults of each command in one CLI chain
+of a benchmark workload.
 
 The benchmark reports one ``peak_rss_mib`` per run: the largest peak of
 any of its CLI subprocesses, read from RUSAGE_CHILDREN, so it does not say
 which command set it. This runs one chain of the same five commands
 (train, train --resume, generate, evaluate, report), built by
 perfbench/workloads.run_cli_chain, and reads each command's own peak RSS
-from the rusage that ``os.wait4`` returns when it reaps that command.
+and minor page faults (``ru_minflt``: pages the kernel mapped in without
+disk I/O, as when freed memory handed back to it is touched again) from
+the rusage that ``os.wait4`` returns when it reaps that command.
 
     python3 tools/peak_rss.py --workload toy-mlp --seed 1
 
@@ -21,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -31,13 +35,18 @@ import workloads as wl  # noqa: E402
 POLL_S = 0.01
 
 
+class Usage(NamedTuple):
+    peak_mib: float
+    minor_faults: int
+
+
 class RusageLedger(wl.Ledger):
     """A Ledger that runs each CLI command itself, reaps it with os.wait4
-    and keeps its peak RSS in MiB under the chain's step name."""
+    and keeps its Usage under the chain's step name."""
 
     def __init__(self):
         super().__init__()
-        self.peak_mib: dict[str, float] = {}
+        self.usage: dict[str, Usage] = {}
 
     def call(self, what, fn, *args, **kwargs):
         if fn is subprocess.run and what.startswith("cli "):
@@ -58,7 +67,8 @@ class RusageLedger(wl.Ledger):
                     break
                 time.sleep(POLL_S)
             proc.returncode = os.waitstatus_to_exitcode(status)    # reaped here
-            self.peak_mib[step] = usage.ru_maxrss / 1024.0          # KiB on Linux
+            self.usage[step] = Usage(usage.ru_maxrss / 1024.0,     # KiB on Linux
+                                     usage.ru_minflt)
             out.seek(0)
             err.seek(0)
             return subprocess.CompletedProcess(
@@ -66,15 +76,15 @@ class RusageLedger(wl.Ledger):
                 err.read().decode("utf-8", "replace"))
 
 
-def measure(workload: wl.Workload, seed: int, work: str) -> dict[str, float]:
-    """{CLI step: peak RSS in MiB} of one chain run in ``work``. Raises
-    RuntimeError naming what failed when the chain does not complete."""
+def measure(workload: wl.Workload, seed: int, work: str) -> dict[str, Usage]:
+    """{CLI step: Usage} of one chain run in ``work``. Raises RuntimeError
+    naming what failed when the chain does not complete."""
     ledger = RusageLedger()
     data = wl.prepare_data(workload, seed, work)
     chain = wl.run_cli_chain(workload, seed, data, os.path.join(work, "chain"), ledger)
     if chain is None or ledger.failed:
         raise RuntimeError("; ".join(ledger.problems) or "the CLI chain did not complete")
-    return ledger.peak_mib
+    return ledger.usage
 
 
 def main(argv=None) -> int:
@@ -84,15 +94,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     work = tempfile.mkdtemp(prefix="peak-rss-")
     try:
-        peaks = measure(wl.WORKLOADS[args.workload], args.seed, work)
+        usage = measure(wl.WORKLOADS[args.workload], args.seed, work)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    for step, mib in peaks.items():
-        print(f"{step:<14}{mib:8.1f} MiB")
-    print(f"{'max':<14}{max(peaks.values()):8.1f} MiB")
+    for step, (mib, faults) in usage.items():
+        print(f"{step:<14}{mib:8.1f} MiB{faults:10d} minor faults")
+    print(f"{'max':<14}{max(u.peak_mib for u in usage.values()):8.1f} MiB")
     return 0
 
 
