@@ -19,9 +19,9 @@ statistics, softmax() is the stable exp(x - max) / sum(exp(x - max)) and
 self_attention() is a whole self-attention layer. batch_norm_inference()
 normalizes with frozen statistics as a composite of the ops above (see
 frozen_batch_norm), so autodiff derives its gradients. The fused ops'
-backward closures ask whether the sweep records: a first-order sweep reads
-what the forward pass kept (and forms the dense-layer gradients with numpy
-directly), while a recording sweep (grad with create_graph) rebuilds it
+backward closures (but linear's, which is built from the ops above alone)
+ask whether the sweep records: a first-order sweep reads what the forward
+pass kept, while a recording sweep (grad with create_graph) rebuilds it
 from the inputs with the ops above, so every gradient can be
 differentiated again. A non-finite value formed inside a fused op is
 reported as that op. Gradient masks (relu, leaky_relu, clip) are formed
@@ -478,8 +478,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     recorded op: the same matmul followed by the same add as the composite
     ``matmul(x, transpose_last(w)) + b``, bit for bit.
 
-    A first-order sweep forms the gradients with numpy; a recording sweep
-    (create_graph) builds them from module ops, so double backward is exact.
+    The backward forms the gradients from module ops, so a recording sweep
+    (create_graph) can differentiate them again.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -491,15 +491,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data.T + b.data
 
     def backward_fn(g, need):
-        if _GRAD_ENABLED:
-            gx = matmul(g, w) if need[0] else None
-            gw = transpose_last(matmul(transpose_last(x), g)) if need[1] else None
-            gb = tsum(g, axis=(0,)) if need[2] else None
-        else:
-            gx = Tensor(g.data @ w.data) if need[0] else None
-            # (x.T @ g).T, not g.T @ x: the two need not agree bit for bit
-            gw = Tensor((x.data.T @ g.data).T) if need[1] else None
-            gb = Tensor(g.data.sum(axis=(0,))) if need[2] else None
+        gx = matmul(g, w) if need[0] else None
+        # (x.T @ g).T, not g.T @ x: the two need not agree bit for bit
+        gw = transpose_last(matmul(transpose_last(x), g)) if need[1] else None
+        gb = tsum(g, axis=(0,)) if need[2] else None
         return gx, gw, gb
 
     return _record("linear", out, (x, w, b), backward_fn)

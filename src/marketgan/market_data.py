@@ -4,6 +4,11 @@ The training pipeline is: adjusted-close prices -> log returns ->
 normalization by the global max absolute return -> overlapping windows.
 Generated output walks the same path backwards, so the normalization
 scale is part of the dataset (and of every checkpoint).
+
+Both input CSV dialects, `date,adjusted_close` and `index,log_return`,
+go through one row reader (_csv_rows): it opens the file once, checks the
+header and the field count and skips blank rows, and each dialect's
+reader parses only its own fields, checking every row as it is read.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ import csv
 import datetime
 import importlib.resources
 import itertools
+import math
 import os
+import re
 import tempfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,31 +67,7 @@ def atomic_write_text(path, text):
 DATE_FORMAT = "YYYY-MM-DD"
 PRICE_HEADER = ("date", "adjusted_close")
 RETURN_HEADER = ("index", "log_return")
-
-
-@dataclass
-class PriceSeries:
-    dates: list
-    prices: np.ndarray
-
-    def __post_init__(self):
-        self.prices = np.asarray(self.prices, dtype=np.float64)
-        if len(self.dates) != len(self.prices):
-            raise DataError("dates and prices must have equal length")
-        if not np.isfinite(self.prices).all():
-            raise DataError("prices contain non-finite values")
-        if (self.prices <= 0).any():
-            bad = int(np.argmax(self.prices <= 0))
-            raise DataError(f"non-positive price at position {bad} "
-                            f"({self.dates[bad] if self.dates else '?'})")
-        for i in range(1, len(self.dates)):
-            if not self.dates[i - 1] < self.dates[i]:
-                raise DataError(
-                    f"dates not strictly increasing: row {i} ({self.dates[i - 1]}) "
-                    f"vs row {i + 1} ({self.dates[i]})")
-
-    def __len__(self):
-        return len(self.prices)
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 
 @dataclass
@@ -120,12 +103,39 @@ class WindowedDataset:
         return self.windows.shape[0]
 
 
+def _csv_rows(path, *headers):
+    """Read a two-column CSV in one pass: the file is opened once, and its
+    header is read once and must be one of ``headers``. Yields that header
+    first, then ``(row number, field 1, field 2)`` for every non-blank row.
+    Row numbers count the header as row 1. Callers close the generator
+    (contextlib.closing), so a row they refuse closes the file at once."""
+    with open_input(path) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        names = tuple(h.strip() for h in header)
+        if names not in headers:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
+            if len(headers) == 1:
+                raise DataError(f"{path}: expected header {expected}, got {header!r}")
+            raise DataError(
+                f"{path}: unrecognized header {','.join(header)!r}; expected {expected}")
+        yield names
+        empty = True
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise DataError(f"row {row_no}: expected 2 fields, got {len(row)}")
+            empty = False
+            yield row_no, row[0], row[1]
+    if empty:
+        raise DataError(f"{path}: no data rows")
+
+
 def _parse_iso_date(text: str, row: int) -> str:
-    parts = text.split("-")
-    ok = (len(text) == 10 and len(parts) == 3
-          and all(p.isdigit() for p in parts)
-          and len(parts[0]) == 4 and len(parts[1]) == 2 and len(parts[2]) == 2)
-    if not ok:
+    if not _ISO_DATE.fullmatch(text):
         raise DataError(f"row {row}: invalid ISO date {text!r} (expected {DATE_FORMAT})")
     # the shape is right; the calendar decides whether the day exists
     try:
@@ -135,56 +145,59 @@ def _parse_iso_date(text: str, row: int) -> str:
     return text
 
 
-def ingest_csv(path) -> PriceSeries:
-    """Read a `date,adjusted_close` CSV into a validated PriceSeries.
-
-    Row numbers in error messages count the header as row 1.
-    """
-    dates, prices = [], array.array("d")
-    with open_input(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if tuple(h.strip() for h in header) != PRICE_HEADER:
-            raise DataError(
-                f"{path}: expected header {','.join(PRICE_HEADER)!r}, got {header!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(f"row {row_no}: expected 2 fields, got {len(row)}")
-            date = _parse_iso_date(row[0].strip(), row_no)
-            raw = row[1].strip()
-            if not raw:
-                raise DataError(f"row {row_no}: missing price")
-            try:
-                price = float(raw)
-            except ValueError as e:
-                raise DataError(f"row {row_no}: invalid price {raw!r}") from e
-            if not np.isfinite(price):
-                raise DataError(f"row {row_no}: non-finite price")
-            if price <= 0:
-                raise DataError(f"row {row_no}: non-positive price {price}")
-            if dates and not dates[-1] < date:
-                raise DataError(
-                    f"rows {row_no - 1} and {row_no}: dates out of order "
-                    f"({dates[-1]!r} then {date!r})")
-            dates.append(date)
-            prices.append(price)
-    if not dates:
-        raise DataError(f"{path}: no data rows")
-    return PriceSeries(dates, np.frombuffer(prices))
+def _read_prices(rows) -> np.ndarray:
+    """The prices of `date,adjusted_close` rows, each checked as it is
+    read; only the previous row's date is kept for the order check."""
+    prices = array.array("d")
+    last_row, last_date = 0, ""
+    for row_no, date, raw in rows:
+        date = _parse_iso_date(date.strip(), row_no)
+        raw = raw.strip()
+        if not raw:
+            raise DataError(f"row {row_no}: missing price")
+        try:
+            price = float(raw)
+        except ValueError as e:
+            raise DataError(f"row {row_no}: invalid price {raw!r}") from e
+        if not math.isfinite(price):
+            raise DataError(f"row {row_no}: non-finite price")
+        if price <= 0:
+            raise DataError(f"row {row_no}: non-positive price {price}")
+        if not last_date < date:
+            raise DataError(f"rows {last_row} and {row_no}: dates out of order "
+                            f"({last_date!r} then {date!r})")
+        last_row, last_date = row_no, date
+        prices.append(price)
+    return np.frombuffer(prices)
 
 
-def to_log_returns(p) -> ReturnSeries:
-    """r_t = ln(p_t / p_{t-1}); accepts a PriceSeries or a raw price array."""
-    if isinstance(p, PriceSeries):
-        prices = p.prices
-    else:
-        prices = np.asarray(p, dtype=np.float64)
-        if (prices <= 0).any():
-            raise DataError("prices must be positive")
+def _read_returns(rows) -> ReturnSeries:
+    """The values of `index,log_return` rows. They fill a float64
+    array.array, which the returned array wraps, so the read holds no
+    Python float per row."""
+    values = array.array("d")
+    for row_no, _index, raw in rows:
+        try:
+            values.append(float(raw))
+        except ValueError as e:
+            raise DataError(f"row {row_no}: invalid return {raw!r}") from e
+    return ReturnSeries(np.frombuffer(values))
+
+
+def ingest_csv(path) -> np.ndarray:
+    """Read a `date,adjusted_close` CSV into its price array: every date a
+    real calendar day after the one before, every price finite and
+    positive. Row numbers in error messages count the header as row 1."""
+    with closing(_csv_rows(path, PRICE_HEADER)) as rows:
+        next(rows)
+        return _read_prices(rows)
+
+
+def to_log_returns(prices) -> ReturnSeries:
+    """r_t = ln(p_t / p_{t-1}) of a positive price array."""
+    prices = np.asarray(prices, dtype=np.float64)
+    if (prices <= 0).any():
+        raise DataError("prices must be positive")
     if len(prices) < 2:
         raise DataError("need at least 2 prices to form returns")
     return ReturnSeries(np.diff(np.log(prices)))
@@ -259,44 +272,18 @@ def write_returns_csv(path, values: np.ndarray):
 
 
 def read_returns_csv(path) -> ReturnSeries:
-    """Read an `index,log_return` CSV (the generate command's output). The
-    values fill a float64 array.array, which the returned array wraps, so
-    the read holds no Python float per row."""
-    values = array.array("d")
-    with open_input(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if tuple(h.strip() for h in header) != RETURN_HEADER:
-            raise DataError(
-                f"{path}: expected header {','.join(RETURN_HEADER)!r}, got {header!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(f"row {row_no}: expected 2 fields, got {len(row)}")
-            try:
-                values.append(float(row[1]))
-            except ValueError as e:
-                raise DataError(f"row {row_no}: invalid return {row[1]!r}") from e
-    if not values:
-        raise DataError(f"{path}: no data rows")
-    return ReturnSeries(np.frombuffer(values))
+    """Read an `index,log_return` CSV (the generate command's output)."""
+    with closing(_csv_rows(path, RETURN_HEADER)) as rows:
+        next(rows)
+        return _read_returns(rows)
 
 
 def load_return_series(path) -> ReturnSeries:
     """Read either CSV dialect (prices or returns), deciding by header."""
-    with open_input(path) as f:
-        header = f.readline().strip()
-    cols = tuple(h.strip() for h in header.split(","))
-    if cols == PRICE_HEADER:
-        return to_log_returns(ingest_csv(path))
-    if cols == RETURN_HEADER:
-        return read_returns_csv(path)
-    raise DataError(
-        f"{path}: unrecognized header {header!r}; expected "
-        f"{','.join(PRICE_HEADER)!r} or {','.join(RETURN_HEADER)!r}")
+    with closing(_csv_rows(path, PRICE_HEADER, RETURN_HEADER)) as rows:
+        if next(rows) == PRICE_HEADER:
+            return to_log_returns(_read_prices(rows))
+        return _read_returns(rows)
 
 
 def fixture_path():

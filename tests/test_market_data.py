@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from marketgan.market_data import (
     DataError,
-    PriceSeries,
     ReturnSeries,
     BLOCK_LINES,
     WindowedDataset,
@@ -41,31 +40,6 @@ def make_csv(tmp_path, text, name="prices.csv"):
     return path
 
 
-class TestPriceSeries:
-    def test_accepts_clean_data(self):
-        ps = PriceSeries(["2020-01-02", "2020-01-03"], [100.0, 101.0])
-        assert len(ps) == 2
-        assert ps.prices.dtype == np.float64
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="equal length"):
-            PriceSeries(["2020-01-02"], [1.0, 2.0])
-
-    def test_non_finite_price(self):
-        with pytest.raises(DataError, match="non-finite"):
-            PriceSeries(["2020-01-02", "2020-01-03"], [1.0, np.inf])
-
-    def test_non_positive_price_names_position(self):
-        with pytest.raises(DataError, match="position 1"):
-            PriceSeries(["2020-01-02", "2020-01-03"], [1.0, 0.0])
-
-    def test_dates_must_strictly_increase(self):
-        with pytest.raises(DataError, match="strictly increasing"):
-            PriceSeries(["2020-01-03", "2020-01-02"], [1.0, 2.0])
-        with pytest.raises(DataError, match="strictly increasing"):
-            PriceSeries(["2020-01-02", "2020-01-02"], [1.0, 2.0])
-
-
 class TestReturnSeries:
     def test_accepts_one_dimensional(self):
         rs = ReturnSeries([0.01, -0.02])
@@ -92,9 +66,9 @@ class TestWindowedDataset:
 
 class TestIngestCsv:
     def test_happy_path(self, tmp_path):
-        ps = ingest_csv(make_csv(tmp_path, GOOD_CSV))
-        assert ps.dates == ["2020-01-02", "2020-01-03", "2020-01-06"]
-        np.testing.assert_array_equal(ps.prices, [100.0, 101.5, 99.25])
+        prices = ingest_csv(make_csv(tmp_path, GOOD_CSV))
+        assert prices.dtype == np.float64
+        np.testing.assert_array_equal(prices, [100.0, 101.5, 99.25])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -142,8 +116,8 @@ class TestIngestCsv:
             ingest_csv(make_csv(tmp_path, text))
 
     def test_leap_day_accepted(self, tmp_path):
-        ps = ingest_csv(make_csv(tmp_path, "date,adjusted_close\n2020-02-29,1.0\n"))
-        assert ps.dates == ["2020-02-29"]
+        prices = ingest_csv(make_csv(tmp_path, "date,adjusted_close\n2020-02-29,1.0\n"))
+        np.testing.assert_array_equal(prices, [1.0])
 
     def test_missing_price(self, tmp_path):
         text = "date,adjusted_close\n2020-01-02,\n"
@@ -170,11 +144,18 @@ class TestIngestCsv:
         text = "date,adjusted_close\n2020-01-06,1.0\n2020-01-03,1.0\n"
         with pytest.raises(DataError, match="rows 2 and 3: dates out of order"):
             ingest_csv(make_csv(tmp_path, text))
+        # a repeated date is out of order too
+        text = "date,adjusted_close\n2020-01-06,1.0\n2020-01-06,1.0\n"
+        with pytest.raises(DataError, match="rows 2 and 3: dates out of order"):
+            ingest_csv(make_csv(tmp_path, text))
+        # blank rows between the two dated rows do not shift the first number
+        text = "date,adjusted_close\n2020-01-06,1.0\n\n\n2020-01-03,1.0\n"
+        with pytest.raises(DataError, match="rows 2 and 5: dates out of order"):
+            ingest_csv(make_csv(tmp_path, text))
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         text = "date,adjusted_close\n2020-01-02,100.0\n\n2020-01-03,101.0\n"
-        ps = ingest_csv(make_csv(tmp_path, text))
-        assert len(ps) == 2
+        assert len(ingest_csv(make_csv(tmp_path, text))) == 2
         bad = "date,adjusted_close\n\nbad-date,1.0\n"
         with pytest.raises(DataError, match="row 3: invalid ISO date"):
             ingest_csv(make_csv(tmp_path, bad))
@@ -191,10 +172,11 @@ class TestToLogReturns:
         np.testing.assert_array_equal(rs.values, np.diff(np.log(prices)))
 
     def test_accepts_price_series(self, tmp_path):
-        ps = ingest_csv(make_csv(tmp_path, GOOD_CSV))
-        rs = to_log_returns(ps)
-        np.testing.assert_array_equal(rs.values, np.diff(np.log(ps.prices)))
-        assert len(rs) == len(ps) - 1
+        # the price array that ingest_csv reads
+        prices = ingest_csv(make_csv(tmp_path, GOOD_CSV))
+        rs = to_log_returns(prices)
+        np.testing.assert_array_equal(rs.values, np.diff(np.log(prices)))
+        assert len(rs) == len(prices) - 1
 
     def test_rejects_non_positive_raw_prices(self):
         with pytest.raises(DataError, match="positive"):
@@ -323,17 +305,27 @@ class TestReturnsCsvRoundtrip:
         assert os.listdir(tmp_path) == ["returns.csv"]
 
     def test_read_peak_memory_stays_below_twice_the_array(self, tmp_path):
-        # a list of Python floats turned into an array peaked at about 5x
-        path = tmp_path / "returns.csv"
-        write_returns_csv(path, np.random.default_rng(0).normal(0.0, 0.02, 100_000))
-        tracemalloc.start()
-        try:
-            values = read_returns_csv(path).values
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(values) == 100_000
-        assert peak < 2 * values.nbytes, f"peak {peak} B for a {values.nbytes} B array"
+        # a list of Python floats turned into an array peaked at about 5x, and
+        # a list of the price CSV's dates at about 10x
+        rng = np.random.default_rng(0)
+        returns = tmp_path / "returns.csv"
+        write_returns_csv(returns, rng.normal(0.0, 0.02, 100_000))
+        # tracemalloc slows the price read about tenfold, so it reads fewer rows
+        days = (np.datetime64("1970-01-01") + np.arange(20_000)).astype(str)
+        quotes = (100.0 + rng.random(20_000)).tolist()
+        prices = make_csv(tmp_path, "date,adjusted_close\n" + "".join(
+            f"{d},{p!r}\n" for d, p in zip(days, quotes)))
+        for read, path, rows in [(lambda p: read_returns_csv(p).values, returns, 100_000),
+                                 (ingest_csv, prices, 20_000)]:
+            tracemalloc.start()
+            try:
+                values = read(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(values) == rows
+            assert peak < 2 * values.nbytes, \
+                f"{path.name}: peak {peak} B for a {values.nbytes} B array"
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = make_csv(tmp_path, "a,b\n0,0.1\n", name="r.csv")
@@ -371,6 +363,13 @@ class TestLoadReturnSeries:
         with pytest.raises(DataError, match="unrecognized header"):
             load_return_series(path)
 
+    def test_reads_the_header_as_the_readers_do(self, tmp_path):
+        quoted = make_csv(tmp_path, '"date","adjusted_close"\n' + GOOD_CSV.split("\n", 1)[1])
+        np.testing.assert_array_equal(load_return_series(quoted).values,
+                                      to_log_returns(ingest_csv(quoted)).values)
+        with pytest.raises(DataError, match="empty file"):
+            load_return_series(make_csv(tmp_path, "", name="empty.csv"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_return_series(tmp_path / "gone.csv")
@@ -378,9 +377,9 @@ class TestLoadReturnSeries:
 
 class TestBundledFixture:
     def test_loads_and_has_expected_size(self):
-        ps = ingest_csv(fixture_path())
-        assert len(ps) == 5030
-        rs = to_log_returns(ps)
+        prices = ingest_csv(fixture_path())
+        assert len(prices) == 5030
+        rs = to_log_returns(prices)
         assert len(rs) == 5029
 
     def test_frozen_summary_statistics(self):
